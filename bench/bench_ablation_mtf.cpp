@@ -13,6 +13,10 @@
 //     found this much worse than zlib on the raw opcodes, because MTF
 //     destroys the repeating patterns zlib exploits.
 //
+// Experiment 1 runs the codec's MtfQueue (a Fenwick tree over move
+// stamps). Only its positions enter the results, and they are the same
+// positions the paper's skiplist-based queue yields.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -60,6 +64,8 @@ std::vector<uint32_t> methodRefIndices(const BenchData &B) {
         Ref.Sig = std::move(*Sig);
         uint32_t Id = M.internMethodRef(Ref);
         auto Pos = Q.use(Id);
+        if (!Pos)
+          Q.pushFront(Id);
         Indices.push_back(Pos ? static_cast<uint32_t>(*Pos) + 1 : 0);
       }
     }

@@ -2,9 +2,10 @@
 //
 // Part of cjpack. MIT license.
 //
-// Microbenchmarks of the hot substrates: the indexed-skiplist MTF queue
-// (the paper's O(log k) move-to-front, §5), the §6 integer codecs, the
-// arithmetic coder, and end-to-end pack/unpack on a small corpus.
+// Microbenchmarks of the hot substrates: the move-to-front queue of §5
+// (a Fenwick tree over move stamps, O(log n) per move; the paper used an
+// indexed skiplist), the §6 integer codecs, the arithmetic coder, and
+// end-to-end pack/unpack on a small corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +33,8 @@ static void BM_MtfQueueUse(benchmark::State &State) {
 BENCHMARK(BM_MtfQueueUse)->Arg(64)->Arg(1024)->Arg(16384);
 
 static void BM_MtfQueueUseUniform(benchmark::State &State) {
-  // Uniform access is the worst case for MTF: positions average N/2,
-  // exercising the O(log k) bound rather than the hot front.
+  // Uniform access is the worst case for MTF index sizes (positions
+  // average N/2); the queue's cost per move is O(log N) either way.
   size_t N = static_cast<size_t>(State.range(0));
   MtfQueue Q;
   for (uint32_t V = 0; V < N; ++V)

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The flow-aware successor to StackState for the packed code streams.
-/// StackState carries at most one forward-branch state and simply keeps
+/// The §7.1 approximate stack state for the packed code streams. The
+/// paper's linear pass carries at most one forward-branch state and keeps
 /// the fallthrough state at joins, so its predictions silently diverge
 /// from the other incoming paths after every merge point. FlowState
 /// instead runs the dataflow analysis restricted to edges a single
@@ -66,12 +66,12 @@ public:
   /// Type at \p Depth from the top; Unknown when untracked or shallower.
   VType top(unsigned Depth = 0) const;
 
-  /// Context id for the §5.1.6 context-split method-reference pools.
-  /// Same value space as StackState::contextId — the wire layout keeps
-  /// its pool count.
+  /// Context id for the §5.1.6 context-split method-reference pools:
+  /// one per (top, second) pair of the 7 VType values, plus one for an
+  /// unknown state. Values in [0, NumContexts).
   unsigned contextId() const;
 
-  static constexpr unsigned NumContexts = StackState::NumContexts;
+  static constexpr unsigned NumContexts = 7 * 7 + 1;
 
 private:
   struct Edge {

@@ -69,7 +69,7 @@ struct OpInfo {
   const char *Mnemonic;
   OpFormat Format;
   /// Fixed pop/push type strings over {I,J,F,D,A}; "*" when the effect
-  /// depends on operands and is handled specially by StackState.
+  /// depends on operands and is handled specially by applyInsnStackEffect.
   const char *Pops;
   const char *Pushes;
 };

@@ -329,7 +329,7 @@ static bool applySpecial(const Insn &I, const InsnTypes *Types,
   case Op::AThrow:
   case Op::Jsr:
   case Op::JsrW:
-    // These invalidate the linear approximation entirely.
+    // These invalidate the tracked state entirely.
     return false;
   default:
     assert(false && "applySpecial on a table-driven opcode");
@@ -356,73 +356,4 @@ bool cjpack::applyInsnStackEffect(const Insn &I, const InsnTypes *Types,
   for (const char *Q = Info.Pushes; *Q; ++Q)
     S.push(charType(*Q));
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// StackState: the paper's linear approximation
-//===----------------------------------------------------------------------===//
-
-void StackState::startMethod() {
-  Stack.clear();
-  Known = true;
-  Pending.reset();
-}
-
-void StackState::setUnknown() {
-  Stack.clear();
-  Known = false;
-}
-
-VType StackState::top(unsigned Depth) const {
-  if (!Known || Stack.size() <= Depth)
-    return VType::Unknown;
-  return Stack[Stack.size() - 1 - Depth];
-}
-
-unsigned StackState::contextId() const {
-  if (!Known)
-    return NumContexts - 1;
-  unsigned T1 = static_cast<unsigned>(top(0));
-  unsigned T2 = static_cast<unsigned>(top(1));
-  return T1 * 7 + T2;
-}
-
-void StackState::noteBranch(const Insn &I) {
-  uint8_t N = static_cast<uint8_t>(I.Opcode);
-  bool Conditional = (N >= 153 && N <= 166) || I.Opcode == Op::IfNull ||
-                     I.Opcode == Op::IfNonNull;
-  bool UncondGoto = I.Opcode == Op::Goto || I.Opcode == Op::GotoW;
-  if ((Conditional || UncondGoto) && Known && !Pending &&
-      I.BranchTarget > static_cast<int32_t>(I.Offset))
-    Pending = {static_cast<uint32_t>(I.BranchTarget), Stack};
-  if (UncondGoto || I.isSwitch() || I.Opcode == Op::Ret)
-    setUnknown();
-  switch (I.Opcode) {
-  case Op::IReturn: case Op::LReturn: case Op::FReturn: case Op::DReturn:
-  case Op::AReturn: case Op::Return:
-    setUnknown();
-    break;
-  default:
-    break;
-  }
-}
-
-void StackState::apply(const Insn &I, const InsnTypes *Types) {
-  // Recover a saved forward-branch state when we arrive at its target.
-  if (Pending) {
-    if (Pending->first == I.Offset) {
-      if (!Known) {
-        Stack = Pending->second;
-        Known = true;
-      }
-      Pending.reset();
-    } else if (Pending->first < I.Offset) {
-      Pending.reset();
-    }
-  }
-
-  if (Known && !applyInsnStackEffect(I, Types, Stack))
-    setUnknown();
-
-  noteBranch(I);
 }

@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper's approximate stack-state computation: a linear pass over a
-/// method's instructions tracking the number and types of operand-stack
-/// values. No backwards branches are considered and the state is carried
-/// over at most one forward branch at a time, so the computation is cheap
-/// and — crucially — exactly reproducible by the decompressor, which runs
-/// the identical algorithm over the reconstructed instruction stream.
-///
-/// The state is used (a) to collapse families of typed opcodes (all four
+/// The vocabulary of the paper's approximate stack state (§7.1): the
+/// coarse value types, the per-instruction type facts the opcode alone
+/// does not give, the families of typed opcodes that collapse under a
+/// known stack state, and the shared per-instruction transfer function.
+/// FlowState (analysis/FlowState.h) runs that function over a method in
+/// code order, identically on the compressor and the decompressor; its
+/// state is used (a) to collapse families of typed opcodes (all four
 /// additions become one generic pseudo-op when the state predicts the
 /// variant) and (b) as the context selector for method-reference MTF
 /// queues (§5.1.6).
@@ -79,42 +78,6 @@ std::optional<Op> variantFor(OpFamily F, VType T);
 /// when the opcode needs no extra information.
 bool applyInsnStackEffect(const Insn &I, const InsnTypes *Types,
                           std::vector<VType> &Stack);
-
-/// The approximate stack state machine.
-class StackState {
-public:
-  /// Resets to the method-entry state (known, empty stack).
-  void startMethod();
-
-  /// Advances the state across \p I. Must be called in code order with the
-  /// final (reconstructed) opcode. \p Types may be null when the opcode
-  /// needs no extra information.
-  void apply(const Insn &I, const InsnTypes *Types);
-
-  /// True when the machine knows the stack contents at this point.
-  bool isKnown() const { return Known; }
-
-  /// Type at \p Depth from the top; Unknown when the state is unknown or
-  /// the stack is shallower than Depth+1.
-  VType top(unsigned Depth = 0) const;
-
-  /// Context id derived from the top two stack values, for the §5.1.6
-  /// context-split method-reference pools. Values in [0, NumContexts).
-  unsigned contextId() const;
-
-  /// One context per (type, type) pair over the 7 VType values, plus one
-  /// catch-all for an unknown state.
-  static constexpr unsigned NumContexts = 7 * 7 + 1;
-
-private:
-  void setUnknown();
-  void noteBranch(const Insn &I);
-
-  std::vector<VType> Stack;
-  bool Known = false;
-  /// At most one saved forward-branch state (offset, stack).
-  std::optional<std::pair<uint32_t, std::vector<VType>>> Pending;
-};
 
 } // namespace cjpack
 

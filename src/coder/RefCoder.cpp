@@ -9,7 +9,7 @@
 #include "support/VarInt.h"
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <map>
 #include <vector>
 
 using namespace cjpack;
@@ -126,10 +126,8 @@ public:
     auto &P = Pools[Pool];
     if (V == 0)
       return std::nullopt;
-    // Corrupt input: treat an unknown id like a fresh object; the
-    // caller's structural validation rejects the garbage downstream.
     if (V > P.Objects.size())
-      return std::nullopt;
+      return CorruptRef;
     return P.Objects[V - 1];
   }
 
@@ -172,12 +170,12 @@ public:
     uint32_t Rank = Stats.rankOf(Pool, Object);
     assert(Rank > 0 && "recurring object without a rank");
     writeVarUInt(W, Rank);
-    return Seen[Pool].insert(Object).second;
+    return Seen.insert(Pool, Object);
   }
 
 private:
   const RefStats &Stats;
-  std::map<uint32_t, std::set<uint32_t>> Seen;
+  SeenObjects Seen;
 };
 
 class FreqDecoder final : public RefDecoder {
@@ -224,13 +222,13 @@ public:
 
   bool encode(uint32_t Pool, uint32_t, uint32_t Object,
               ByteWriter &W) override {
-    auto &P = Pools[Pool];
-    auto Hit = std::find(P.Cache.begin(), P.Cache.end(), Object);
-    if (Hit != P.Cache.end()) {
-      size_t Pos = static_cast<size_t>(Hit - P.Cache.begin());
+    std::vector<uint32_t> &Cache = Caches[Pool];
+    auto Hit = std::find(Cache.begin(), Cache.end(), Object);
+    if (Hit != Cache.end()) {
+      size_t Pos = static_cast<size_t>(Hit - Cache.begin());
       writeVarUInt(W, Pos);
-      P.Cache.erase(Hit);
-      P.Cache.insert(P.Cache.begin(), Object);
+      Cache.erase(Hit);
+      Cache.insert(Cache.begin(), Object);
       return false;
     }
     if (Stats.isTransient(Pool, Object)) {
@@ -240,19 +238,16 @@ public:
     uint32_t Rank = Stats.rankOf(Pool, Object);
     assert(Rank > 0 && "recurring object without a rank");
     writeVarUInt(W, Rank + CacheSize);
-    P.Cache.insert(P.Cache.begin(), Object);
-    if (P.Cache.size() > CacheSize)
-      P.Cache.pop_back();
-    return P.Seen.insert(Object).second;
+    Cache.insert(Cache.begin(), Object);
+    if (Cache.size() > CacheSize)
+      Cache.pop_back();
+    return Seen.insert(Pool, Object);
   }
 
 private:
-  struct PoolState {
-    std::vector<uint32_t> Cache;
-    std::set<uint32_t> Seen;
-  };
   const RefStats &Stats;
-  std::map<uint32_t, PoolState> Pools;
+  std::map<uint32_t, std::vector<uint32_t>> Caches;
+  SeenObjects Seen;
 };
 
 class CacheDecoder final : public RefDecoder {
@@ -262,10 +257,8 @@ public:
     uint32_t V = static_cast<uint32_t>(readVarUInt(R));
     auto &P = Pools[Pool];
     if (V < CacheSize) {
-      if (V >= P.Cache.size()) {
-        Pending[Pool] = 0; // corrupt input: degrade to "new transient"
-        return std::nullopt;
-      }
+      if (V >= P.Cache.size())
+        return CorruptRef;
       uint32_t Object = P.Cache[V];
       P.Cache.erase(P.Cache.begin() + V);
       P.Cache.insert(P.Cache.begin(), Object);
@@ -320,41 +313,62 @@ private:
 /// Shared machinery for the four MTF variants. Context variants keep one
 /// queue per (Pool, Sub) and a per-pool first-seen history so a queue
 /// materializing late can be seeded with every object it "might see".
-/// Non-context variants collapse Sub to zero.
+/// Non-context variants collapse Sub to zero. Pools and Subs are small
+/// dense ids, so both index vectors.
 class MtfState {
 public:
-  MtfState(bool UseContext) : UseContext(UseContext) {}
-
-  struct PoolState {
-    std::map<uint32_t, MtfQueue> Queues;
-    std::vector<uint32_t> History; ///< persistent objects, oldest first
-    std::set<uint32_t> Seen;
-  };
-
-  PoolState &pool(uint32_t Pool) { return Pools[Pool]; }
+  explicit MtfState(bool UseContext) : UseContext(UseContext) {}
 
   MtfQueue &queue(uint32_t Pool, uint32_t Sub) {
     if (!UseContext)
       Sub = 0;
-    PoolState &P = Pools[Pool];
-    auto [It, Created] = P.Queues.try_emplace(Sub);
-    if (Created)
+    PoolState &P = pool(Pool);
+    if (Sub >= P.Queues.size())
+      P.Queues.resize(size_t{Sub} + 1);
+    std::optional<MtfQueue> &Q = P.Queues[Sub];
+    if (!Q) {
+      Q.emplace();
       for (uint32_t Object : P.History)
-        It->second.pushFront(Object);
-    return It->second;
+        Q->pushFront(Object);
+    }
+    return *Q;
+  }
+
+  /// Marks \p Object as seen in \p Pool; true on its first occurrence.
+  bool firstSight(uint32_t Pool, uint32_t Object) {
+    return Seen.insert(Pool, Object);
   }
 
   /// Records a first occurrence of a persistent object: remembers it in
   /// the history and pushes it onto every materialized queue.
   void addPersistent(uint32_t Pool, uint32_t Object) {
-    PoolState &P = Pools[Pool];
+    PoolState &P = pool(Pool);
     P.History.push_back(Object);
-    for (auto &[Sub, Q] : P.Queues)
-      Q.pushFront(Object);
+    for (std::optional<MtfQueue> &Q : P.Queues)
+      if (Q)
+        Q->pushFront(Object);
+  }
+
+  /// The shared body of RefEncoder/RefDecoder::preload.
+  void preload(uint32_t Pool, uint32_t Object) {
+    if (firstSight(Pool, Object))
+      addPersistent(Pool, Object);
   }
 
 private:
-  std::map<uint32_t, PoolState> Pools;
+  struct PoolState {
+    std::vector<std::optional<MtfQueue>> Queues; ///< by Sub, made lazily
+    std::vector<uint32_t> History; ///< persistent objects, oldest first
+  };
+
+  PoolState &pool(uint32_t Pool) {
+    if (Pool >= Pools.size())
+      Pools.resize(size_t{Pool} + 1);
+    return Pools[Pool];
+  }
+
+  std::vector<PoolState> Pools;
+  SeenObjects Seen;
   bool UseContext;
 };
 
@@ -369,10 +383,8 @@ public:
               ByteWriter &W) override {
     // Touch the queue first so creation/seeding order matches decode.
     MtfQueue &Q = State.queue(Pool, Sub);
-    auto &P = State.pool(Pool);
     unsigned Base = Transients ? 2 : 1;
-    if (!P.Seen.count(Object)) {
-      P.Seen.insert(Object);
+    if (State.firstSight(Pool, Object)) {
       if (Transients && Stats->isTransient(Pool, Object)) {
         writeVarUInt(W, 1);
       } else {
@@ -381,16 +393,14 @@ public:
       }
       return true;
     }
-    auto Pos = Q.use(Object, /*InsertIfNew=*/false);
+    auto Pos = Q.use(Object);
     assert(Pos && "seen persistent object missing from context queue");
     writeVarUInt(W, *Pos + Base);
     return false;
   }
 
   bool preload(uint32_t Pool, uint32_t Object) override {
-    auto &P = State.pool(Pool);
-    if (P.Seen.insert(Object).second)
-      State.addPersistent(Pool, Object);
+    State.preload(Pool, Object);
     return true;
   }
 
@@ -418,7 +428,7 @@ public:
       Pending[Pool] = true;
       return std::nullopt;
     }
-    return Q.useAt(V - Base);
+    return Q.useAt(V - Base).value_or(CorruptRef);
   }
 
   void registerNew(uint32_t Pool, uint32_t, uint32_t Object) override {
@@ -432,9 +442,7 @@ public:
   }
 
   bool preload(uint32_t Pool, uint32_t Object) override {
-    auto &P = State.pool(Pool);
-    if (P.Seen.insert(Object).second)
-      State.addPersistent(Pool, Object);
+    State.preload(Pool, Object);
     return true;
   }
 

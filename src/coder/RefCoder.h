@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 namespace cjpack {
 
@@ -97,6 +98,27 @@ private:
   mutable bool RanksBuilt = false;
 };
 
+/// Which objects each pool has seen: dense bits over object ids, which
+/// the codec assigns in first-occurrence order.
+class SeenObjects {
+public:
+  /// Marks \p Object as seen in \p Pool; true when it was not before.
+  bool insert(uint32_t Pool, uint32_t Object) {
+    if (Pool >= Bits.size())
+      Bits.resize(size_t{Pool} + 1);
+    std::vector<bool> &B = Bits[Pool];
+    if (Object >= B.size())
+      B.resize(size_t{Object} + 1);
+    if (B[Object])
+      return false;
+    B[Object] = true;
+    return true;
+  }
+
+private:
+  std::vector<std::vector<bool>> Bits;
+};
+
 /// Encoder half of a scheme.
 class RefEncoder {
 public:
@@ -138,6 +160,10 @@ private:
   CoderTally *Tally = nullptr;
 };
 
+/// The id a decoder returns for a reference to no known object; it is
+/// past the end of every object table.
+inline constexpr uint32_t CorruptRef = UINT32_MAX;
+
 /// Decoder half of a scheme.
 class RefDecoder {
 public:
@@ -145,7 +171,9 @@ public:
 
   /// Decodes a reference at site (\p Pool, \p Sub). Returns the object
   /// id, or nullopt for a first occurrence — the caller must then decode
-  /// the definition, assign the object an id, and call registerNew.
+  /// the definition, assign the object an id, and call registerNew. A
+  /// reference that names no known object (corrupt input) decodes to
+  /// CorruptRef, which every caller's range check rejects.
   virtual std::optional<uint32_t> decode(uint32_t Pool, uint32_t Sub,
                                          ByteReader &R) = 0;
 

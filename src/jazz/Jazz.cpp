@@ -444,8 +444,20 @@ public:
 private:
   uint32_t pool(JPool P) { return static_cast<uint32_t>(P); }
 
+  /// Decodes a reference; nullopt for a definition. A reference to no
+  /// known object flags \p R corrupt and reads as a definition, so every
+  /// id handed on names a real entry.
+  std::optional<uint32_t> readRef(JPool P, ByteReader &R) {
+    auto Existing = Dec->decode(pool(P), 0, R);
+    if (Existing == CorruptRef) {
+      R.flagMalformed();
+      return std::nullopt;
+    }
+    return Existing;
+  }
+
   uint32_t readUtf8(ByteReader &R) {
-    auto Existing = Dec->decode(pool(JPool::Utf8), 0, R);
+    auto Existing = readRef(JPool::Utf8, R);
     if (Existing)
       return *Existing;
     size_t Len = static_cast<size_t>(readVarUInt(R));
@@ -455,7 +467,7 @@ private:
   }
 
   uint32_t readLoadable(ByteReader &R) {
-    auto Existing = Dec->decode(pool(JPool::Loadable), 0, R);
+    auto Existing = readRef(JPool::Loadable, R);
     if (Existing)
       return *Existing;
     JLoadable L;
@@ -480,7 +492,7 @@ private:
   }
 
   uint32_t readClass(ByteReader &R) {
-    auto Existing = Dec->decode(pool(JPool::Class), 0, R);
+    auto Existing = readRef(JPool::Class, R);
     if (Existing)
       return *Existing;
     uint32_t Utf = readUtf8(R);
@@ -491,7 +503,7 @@ private:
   }
 
   uint32_t readNat(ByteReader &R) {
-    auto Existing = Dec->decode(pool(JPool::Nat), 0, R);
+    auto Existing = readRef(JPool::Nat, R);
     if (Existing)
       return *Existing;
     JNat N;
@@ -504,7 +516,7 @@ private:
   }
 
   uint32_t readMember(JPool P, ByteReader &R) {
-    auto Existing = Dec->decode(pool(P), 0, R);
+    auto Existing = readRef(P, R);
     if (Existing)
       return *Existing;
     JMember E;

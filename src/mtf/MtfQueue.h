@@ -1,53 +1,71 @@
-//===- MtfQueue.h - move-to-front queue over a skiplist --------*- C++ -*-===//
+//===- MtfQueue.h - move-to-front queue over a Fenwick tree ----*- C++ -*-===//
 //
 // Part of cjpack. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The move-to-front queue of §5. The compressor side pairs the indexed
-/// skiplist with a hashtable from element ids to skiplist nodes, so that
-/// "have we seen this element, and where is it now?" is O(log n)
-/// expected. The decompressor side only ever accesses by position.
+/// The move-to-front queue of §5. Only the sequence of positions reaches
+/// the wire, so the queue is free to use any structure that produces the
+/// same positions; the paper used Pugh's distance-annotated skiplist,
+/// this one uses three flat arrays.
+///
+/// Every element carries a stamp that grows each time it moves to the
+/// front, so the queue order is the descending stamp order. A Fenwick
+/// tree over stamps counts the live ones: an element's position is the
+/// number of live stamps above its own, and the element at a position is
+/// found by a descent over the tree. When the stamps run out they are
+/// renumbered densely in order, which costs O(n) once per at least n
+/// operations. Each operation is therefore O(log n) plus an amortised
+/// O(1), whatever positions a (possibly hostile) archive asks for.
+///
+/// Element ids index a dense array, so they should be small: the coders
+/// pass first-occurrence object ids.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CJPACK_MTF_MTFQUEUE_H
 #define CJPACK_MTF_MTFQUEUE_H
 
-#include "mtf/IndexedSkipList.h"
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 namespace cjpack {
 
-/// Move-to-front queue of element ids.
+/// Move-to-front queue of element ids; the front is position 0.
 class MtfQueue {
 public:
-  size_t size() const { return List.size(); }
-  bool contains(uint32_t Value) const { return Index.count(Value) != 0; }
+  size_t size() const { return Live; }
 
-  /// Compressor: if \p Value is present, returns its current position
-  /// and moves it to the front. If absent, returns nullopt and inserts
-  /// it at the front when \p InsertIfNew (the transients variant keeps
-  /// once-only objects out of the queue).
-  std::optional<size_t> use(uint32_t Value, bool InsertIfNew = true);
-
-  /// Compressor: position of \p Value without mutating, if present.
-  std::optional<size_t> find(uint32_t Value) const;
-
-  /// Inserts \p Value at the front (decoder's "new object" action; also
-  /// used when a method reference must be seeded into several queues,
-  /// §5.1.6). No-op if already present.
+  /// Inserts \p Value at the front. No-op if already present.
   void pushFront(uint32_t Value);
 
+  /// Compressor: if \p Value is present, returns its current position
+  /// and moves it to the front; otherwise returns nullopt and leaves the
+  /// queue unchanged.
+  std::optional<size_t> use(uint32_t Value);
+
   /// Decompressor: returns the value at \p Pos and moves it to the
-  /// front.
-  uint32_t useAt(size_t Pos);
+  /// front, or nullopt (queue unchanged) when \p Pos >= size().
+  std::optional<uint32_t> useAt(size_t Pos);
 
 private:
-  IndexedSkipList List;
-  std::unordered_map<uint32_t, IndexedSkipList::Node *> Index;
+  /// Gives \p Value (absent from the tree) the newest stamp.
+  void toFront(uint32_t Value);
+  /// Takes \p Value's stamp out of the tree.
+  void unlink(uint32_t Value);
+  /// Number of live stamps in [1, Stamp].
+  uint32_t prefix(uint32_t Stamp) const;
+  void add(uint32_t Stamp, int32_t Delta);
+  /// Renumbers the live stamps 1..Live in order and resizes the tree.
+  void renumber();
+
+  std::vector<uint32_t> StampOf; ///< element -> stamp; 0 = absent
+  std::vector<uint32_t> Slot;    ///< stamp -> element; next stamp = size
+  std::vector<uint32_t> Tree;    ///< Fenwick tree, 1-based, power-of-two
+  uint32_t Live = 0;
 };
 
 } // namespace cjpack

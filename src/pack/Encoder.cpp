@@ -32,7 +32,6 @@
 #include "support/ThreadPool.h"
 #include "support/VarInt.h"
 #include <algorithm>
-#include <map>
 #include <set>
 #include <thread>
 
@@ -48,17 +47,17 @@ public:
   bool encode(uint32_t Pool, uint32_t, uint32_t Object,
               ByteWriter &) override {
     Stats.note(Pool, Object);
-    return Seen[Pool].insert(Object).second;
+    return Seen.insert(Pool, Object);
   }
 
   bool preload(uint32_t Pool, uint32_t Object) override {
-    Seen[Pool].insert(Object);
+    Seen.insert(Pool, Object);
     return true;
   }
 
 private:
   RefStats &Stats;
-  std::map<uint32_t, std::set<uint32_t>> Seen;
+  SeenObjects Seen;
 };
 
 /// Lowers classfiles into the shared wire records, interning every

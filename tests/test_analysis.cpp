@@ -8,8 +8,9 @@
 // method bodies with known defects (each diagnostic kind, at the right
 // offset), the legal-but-tricky cases (overlapping handler ranges,
 // long/double slot discipline), the differential guarantees (FlowState
-// equals StackState on branch-free code; the corpus generator and the
-// full pack/unpack round trip are verifier-clean), and hostile input.
+// equals the linear stack state on branch-free code; the corpus
+// generator and the full pack/unpack round trip are verifier-clean), and
+// hostile input.
 //
 //===----------------------------------------------------------------------===//
 
@@ -375,49 +376,64 @@ TEST(Verifier, DiagnosticFormatting) {
 }
 
 //===--------------------------------------------------------------------===//
-// Differential: FlowState vs. StackState on branch-free code
+// Differential: FlowState vs. the linear stack state on branch-free code
 //===--------------------------------------------------------------------===//
 
 // On code with no branches, no switches, and no handlers, the
-// merge-correct FlowState must agree with the paper's linear StackState
-// at every instruction — the flow analysis only ever changes predictions
-// at join points.
+// merge-correct FlowState must agree with the paper's linear stack
+// state at every instruction — the flow analysis only ever changes
+// predictions at join points. The linear state of straight-line code is
+// just each instruction's declared effect, written out here by hand:
+// the top two stack types before each instruction.
 TEST(FlowStateDifferential, MatchesLinearStackStateOnStraightLine) {
-  std::vector<std::vector<uint8_t>> Bodies = {
-      {byteOf(Op::IConst0), byteOf(Op::IConst1), byteOf(Op::IAdd),
-       byteOf(Op::IStore0), byteOf(Op::ILoad0), byteOf(Op::I2L),
-       byteOf(Op::LStore1), byteOf(Op::LLoad1), byteOf(Op::L2I),
-       byteOf(Op::IReturn)},
-      {byteOf(Op::LConst0), byteOf(Op::LConst1), byteOf(Op::LAdd),
-       byteOf(Op::Dup2), byteOf(Op::LStore0), byteOf(Op::LReturn)},
-      {byteOf(Op::BiPush), 40, byteOf(Op::SiPush), 1, 0,
-       byteOf(Op::IAdd), byteOf(Op::I2B), byteOf(Op::IReturn)},
-      {byteOf(Op::AConstNull), byteOf(Op::Dup), byteOf(Op::Pop),
-       byteOf(Op::AReturn)},
+  constexpr VType I = VType::Int, J = VType::Long, A = VType::Ref,
+                  U = VType::Unknown;
+  struct Body {
+    std::vector<uint8_t> Code;
+    std::vector<std::pair<VType, VType>> Tops; ///< (top, second) per insn
   };
-  for (const std::vector<uint8_t> &Body : Bodies) {
-    auto Insns = decodeCode(Body);
+  std::vector<Body> Bodies = {
+      {{byteOf(Op::IConst0), byteOf(Op::IConst1), byteOf(Op::IAdd),
+        byteOf(Op::IStore0), byteOf(Op::ILoad0), byteOf(Op::I2L),
+        byteOf(Op::LStore1), byteOf(Op::LLoad1), byteOf(Op::L2I),
+        byteOf(Op::IReturn)},
+       {{U, U}, {I, U}, {I, I}, {I, U}, {U, U}, {I, U}, {J, U}, {U, U},
+        {J, U}, {I, U}}},
+      {{byteOf(Op::LConst0), byteOf(Op::LConst1), byteOf(Op::LAdd),
+        byteOf(Op::Dup2), byteOf(Op::LStore0), byteOf(Op::LReturn)},
+       {{U, U}, {J, U}, {J, J}, {J, U}, {J, J}, {J, U}}},
+      {{byteOf(Op::BiPush), 40, byteOf(Op::SiPush), 1, 0, byteOf(Op::IAdd),
+        byteOf(Op::I2B), byteOf(Op::IReturn)},
+       {{U, U}, {I, U}, {I, I}, {I, U}, {I, U}}},
+      {{byteOf(Op::AConstNull), byteOf(Op::Dup), byteOf(Op::Pop),
+        byteOf(Op::AReturn)},
+       {{U, U}, {A, U}, {A, A}, {A, U}}},
+  };
+  for (const Body &B : Bodies) {
+    auto Insns = decodeCode(B.Code);
     ASSERT_TRUE(static_cast<bool>(Insns));
-    StackState Linear;
+    ASSERT_EQ(Insns->size(), B.Tops.size());
     FlowState Flow;
-    Linear.startMethod();
     Flow.startMethod();
-    for (const Insn &I : *Insns) {
-      Flow.enterInsn(I.Offset);
-      EXPECT_EQ(Flow.isKnown(), Linear.isKnown()) << "offset " << I.Offset;
-      EXPECT_EQ(Flow.top(0), Linear.top(0)) << "offset " << I.Offset;
-      EXPECT_EQ(Flow.top(1), Linear.top(1)) << "offset " << I.Offset;
-      EXPECT_EQ(Flow.contextId(), Linear.contextId())
-          << "offset " << I.Offset;
-      Flow.apply(I, nullptr);
-      Linear.apply(I, nullptr);
+    for (size_t K = 0; K < Insns->size(); ++K) {
+      const Insn &Ins = (*Insns)[K];
+      auto [Top, Second] = B.Tops[K];
+      Flow.enterInsn(Ins.Offset);
+      EXPECT_TRUE(Flow.isKnown()) << "offset " << Ins.Offset;
+      EXPECT_EQ(Flow.top(0), Top) << "offset " << Ins.Offset;
+      EXPECT_EQ(Flow.top(1), Second) << "offset " << Ins.Offset;
+      EXPECT_EQ(Flow.contextId(), static_cast<unsigned>(Top) * 7 +
+                                      static_cast<unsigned>(Second))
+          << "offset " << Ins.Offset;
+      Flow.apply(Ins, nullptr);
     }
   }
 }
 
 // At a forward join whose incoming depths disagree, FlowState must
-// degrade to unknown (StackState simply keeps the fallthrough view; the
-// two are allowed to differ here — this pins the FlowState behavior).
+// degrade to unknown (the paper's linear pass simply keeps the
+// fallthrough view; the two are allowed to differ here — this pins the
+// FlowState behavior).
 TEST(FlowStateDifferential, ConflictingJoinDegradesToUnknown) {
   std::vector<uint8_t> Body = {
       byteOf(Op::IConst0),

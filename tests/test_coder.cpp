@@ -139,6 +139,43 @@ TEST(RefSchemes, MtfBeatsBasicOnSkewedStreams) {
   EXPECT_LT(Mtf, Basic);
 }
 
+// An index that names no object the decoder holds — an MTF position
+// past the queue, a fixed id past the table, a slot past the cache —
+// decodes to CorruptRef, never to some real object or to "new".
+TEST(RefSchemes, IndexPastKnownObjectsDecodesToCorruptRef) {
+  struct Case {
+    RefScheme Scheme;
+    uint32_t Front, Past; ///< wire values naming object 5 and nothing
+  };
+  for (Case C : {Case{RefScheme::Simple, 1, 8}, Case{RefScheme::Basic, 1, 8},
+                 Case{RefScheme::MtfBasic, 1, 8},
+                 Case{RefScheme::MtfContext, 1, 8},
+                 Case{RefScheme::MtfTransients, 2, 9},
+                 Case{RefScheme::MtfTransientsContext, 2, 9}}) {
+    SCOPED_TRACE(refSchemeName(C.Scheme));
+    auto Dec = makeRefDecoder(C.Scheme);
+    ASSERT_TRUE(Dec->preload(0, 5));
+    ByteWriter W;
+    for (uint32_t V : {C.Front, C.Past}) {
+      if (C.Scheme == RefScheme::Simple)
+        W.writeU2(static_cast<uint16_t>(V));
+      else
+        writeVarUInt(W, V);
+    }
+    ByteReader R(W.data());
+    EXPECT_EQ(Dec->decode(0, 0, R), 5u);
+    EXPECT_EQ(Dec->decode(0, 0, R), CorruptRef);
+    EXPECT_FALSE(R.hasError());
+  }
+
+  // Cache slot 3 while the cache is empty.
+  auto Dec = makeRefDecoder(RefScheme::Cache);
+  ByteWriter W;
+  writeVarUInt(W, 3);
+  ByteReader R(W.data());
+  EXPECT_EQ(Dec->decode(0, 0, R), CorruptRef);
+}
+
 TEST(RefStats, CountsRanksAndTransients) {
   RefStats Stats;
   Stats.note(1, 10);

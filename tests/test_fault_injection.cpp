@@ -594,3 +594,50 @@ TEST(FaultInjection, HostileArchiveBackendCode) {
     EXPECT_EQ(Reader.code(), ErrorCode::Corrupt) << Reader.message();
   }
 }
+
+// A reference index naming no object the decoder holds must fail at the
+// reference site as Corrupt: read as some real object it would restore
+// a wrong reference silently, and read as a definition it would
+// desynchronize the definition streams. The first ClassRefs entry of an
+// uncompressed, preloaded archive is rewritten to 127, which under every
+// scheme tried names an index past the preloaded class refs.
+TEST(FaultInjection, ReferencePastKnownObjectsIsCorrupt) {
+  for (RefScheme Scheme : {RefScheme::Basic, RefScheme::MtfBasic,
+                           RefScheme::MtfTransientsContext}) {
+    SCOPED_TRACE(refSchemeName(Scheme));
+    PackOptions Options;
+    Options.Scheme = Scheme;
+    Options.CompressStreams = false;
+    Options.PreloadStandardRefs = true;
+    auto Packed = packClassBytes(smallCorpus(), Options);
+    ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+    std::vector<uint8_t> Archive = Packed->Archive;
+
+    // Version 1: magic, version, scheme, flags, then per stream its id,
+    // method, raw and stored lengths, and bytes.
+    ByteReader R(Archive);
+    ASSERT_TRUE(R.skip(7));
+    size_t At = 0;
+    for (unsigned I = 0; I < NumStreams && At == 0; ++I) {
+      uint8_t Id = R.readU1();
+      R.readU1();
+      readVarUInt(R);
+      size_t Stored = static_cast<size_t>(readVarUInt(R));
+      if (Id == static_cast<uint8_t>(StreamId::ClassRefs))
+        At = R.position();
+      else
+        ASSERT_TRUE(R.skip(Stored));
+    }
+    ASSERT_FALSE(R.hasError());
+    ASSERT_NE(At, 0u);
+    ASSERT_LT(Archive[At], 0x80) << "expected a one-byte varint";
+    Archive[At] = 127;
+
+    auto Classes = unpackClasses(Archive, testOptions());
+    ASSERT_FALSE(static_cast<bool>(Classes));
+    EXPECT_EQ(Classes.code(), ErrorCode::Corrupt) << Classes.message();
+    EXPECT_NE(Classes.message().find("class ref out of range"),
+              std::string::npos)
+        << Classes.message();
+  }
+}

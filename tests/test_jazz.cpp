@@ -9,6 +9,7 @@
 #include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "jazz/Jazz.h"
+#include "support/VarInt.h"
 #include "zip/Jar.h"
 #include <gtest/gtest.h>
 #include <map>
@@ -110,6 +111,31 @@ TEST(Jazz, RejectsCorruption) {
         AllEqual = false;
     EXPECT_TRUE(AllEqual) << "corruption silently changed classes";
   }
+}
+
+// A reference naming an id past its table must be rejected, never used
+// to index the decoder's tables: rewrite each one-byte varint of an
+// uncompressed archive's body to 127, past every table of this small
+// archive, and decode.
+TEST(Jazz, RejectsReferencePastTable) {
+  std::vector<ClassFile> Classes =
+      preparedCorpus(3008, 1, CodeStyle::Balanced);
+  auto Archive = jazzPack(Classes, /*Compress=*/false);
+  ASSERT_TRUE(static_cast<bool>(Archive));
+  ByteReader Header(*Archive);
+  Header.readU4();
+  Header.readU1();
+  readVarUInt(Header);
+  ASSERT_FALSE(Header.hasError());
+  size_t Rejected = 0;
+  for (size_t At = Header.position(); At < Archive->size(); ++At) {
+    if ((*Archive)[At] >= 0x80)
+      continue;
+    std::vector<uint8_t> Bad = *Archive;
+    Bad[At] = 127;
+    Rejected += !jazzUnpack(Bad);
+  }
+  EXPECT_GT(Rejected, 0u);
 }
 
 TEST(Jazz, SharesGlobalPoolAcrossClasses) {

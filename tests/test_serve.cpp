@@ -246,7 +246,9 @@ TEST(ArchiveCacheTest, HitMissAndByteIdenticalResults) {
   std::string Name = (*A1)->Reader.classNames().front();
   auto Hot = (*A1)->Reader.unpackClass(Name);
   ASSERT_TRUE(static_cast<bool>(Hot)) << Hot.message();
-  auto Fresh = PackedArchiveReader::open(packIndexed(Classes));
+  // The reader borrows its bytes, so they must outlive it.
+  std::vector<uint8_t> FreshBytes = packIndexed(Classes);
+  auto Fresh = PackedArchiveReader::open(FreshBytes);
   ASSERT_TRUE(static_cast<bool>(Fresh));
   auto Cold = Fresh->unpackClass(Name);
   ASSERT_TRUE(static_cast<bool>(Cold));
