@@ -14,6 +14,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HostileClasses.h"
+#include "classfile/Reader.h"
+#include "classfile/Transform.h"
+#include "classfile/Writer.h"
 #include "corpus/Corpus.h"
 #include "pack/Backend.h"
 #include "pack/Packer.h"
@@ -60,10 +64,23 @@ int main(int Argc, char **Argv) {
   std::filesystem::path Out(Argv[1]);
   std::vector<NamedClass> Classes = generateCorpus(smallSpec(7));
 
-  // fuzz_classfile: a few individual classfiles.
+  // fuzz_classfile: a few individual classfiles, one of them already
+  // canonical, and the constant-pool shapes that stress
+  // canonicalization (tests/HostileClasses.h).
   for (size_t I = 0; I < Classes.size() && I < 3; ++I)
     writeSeed(Out / "fuzz_classfile", "class" + std::to_string(I) + ".bin",
               Classes[I].Data);
+  {
+    auto CF = parseClassFile(Classes[0].Data);
+    if (!CF || prepareForPacking(*CF)) {
+      fprintf(stderr, "preparing the canonical seed failed\n");
+      return 1;
+    }
+    writeSeed(Out / "fuzz_classfile", "canonical0.bin", writeClassFile(*CF));
+  }
+  for (const hostile::Shape &S : hostile::allShapes())
+    writeSeed(Out / "fuzz_classfile", "pool_" + S.Name + ".bin",
+              writeClassFile(S.CF));
 
   // fuzz_verify: valid classfiles with branches, handlers, and wide
   // values, so mutation starts from code the analyzer fully walks.

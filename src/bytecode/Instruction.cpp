@@ -59,6 +59,13 @@ Error checkTarget(int64_t Target, size_t CodeLen, uint32_t At) {
 Expected<std::vector<Insn>> cjpack::decodeCode(
     std::span<const uint8_t> Code) {
   std::vector<Insn> Out;
+  if (auto E = decodeCode(Code, Out))
+    return E;
+  return Out;
+}
+
+Error cjpack::decodeCode(std::span<const uint8_t> Code,
+                         std::vector<Insn> &Out) {
   CodeCursor C(Code);
   while (!C.atEnd()) {
     Insn I;
@@ -226,7 +233,7 @@ Expected<std::vector<Insn>> cjpack::decodeCode(
     I.Length = static_cast<uint32_t>(C.position()) - I.Offset;
     Out.push_back(std::move(I));
   }
-  return Out;
+  return Error::success();
 }
 
 uint32_t cjpack::encodedLength(const Insn &I, uint32_t Offset) {
@@ -268,10 +275,16 @@ uint32_t cjpack::encodedLength(const Insn &I, uint32_t Offset) {
   return 1;
 }
 
-std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
+std::vector<uint8_t> cjpack::encodeCode(std::span<const Insn> Insns) {
   ByteWriter W;
+  encodeCode(Insns, W);
+  return W.take();
+}
+
+void cjpack::encodeCode(std::span<const Insn> Insns, ByteWriter &W) {
+  const size_t Base = W.size();
   for (const Insn &I : Insns) {
-    uint32_t Offset = static_cast<uint32_t>(W.size());
+    uint32_t Offset = static_cast<uint32_t>(W.size() - Base);
     assert(Offset == I.Offset && "instruction offsets out of sync");
     if (I.IsWide) {
       W.writeU1(static_cast<uint8_t>(Op::Wide));
@@ -331,7 +344,7 @@ std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
       W.writeU1(static_cast<uint8_t>(I.Const));
       break;
     case OpFormat::TableSwitch: {
-      while (W.size() % 4 != 0)
+      while ((W.size() - Base) % 4 != 0)
         W.writeU1(0);
       W.writeU4(static_cast<uint32_t>(I.SwitchDefault -
                                       static_cast<int32_t>(Offset)));
@@ -342,7 +355,7 @@ std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
       break;
     }
     case OpFormat::LookupSwitch: {
-      while (W.size() % 4 != 0)
+      while ((W.size() - Base) % 4 != 0)
         W.writeU1(0);
       W.writeU4(static_cast<uint32_t>(I.SwitchDefault -
                                       static_cast<int32_t>(Offset)));
@@ -359,5 +372,27 @@ std::vector<uint8_t> cjpack::encodeCode(const std::vector<Insn> &Insns) {
       break;
     }
   }
-  return W.take();
+}
+
+bool cjpack::encodesIdentically(std::span<const uint8_t> Code,
+                                std::span<const Insn> Insns) {
+  for (const Insn &I : Insns) {
+    size_t From = 0, To = 0; // bytes the decoder skips
+    if (I.IsWide)
+      continue;
+    if (I.isSwitch()) {
+      From = I.Offset + 1;
+      To = (I.Offset + 4) & ~size_t(3);
+    } else if (I.Opcode == Op::InvokeInterface) {
+      From = I.Offset + 4;
+      To = From + 1;
+    } else if (I.Opcode == Op::InvokeDynamic) {
+      From = I.Offset + 3;
+      To = From + 2;
+    }
+    for (size_t P = From; P < To; ++P)
+      if (Code[P] != 0)
+        return false;
+  }
+  return true;
 }

@@ -60,10 +60,25 @@ struct Insn {
 /// undefined opcodes.
 Expected<std::vector<Insn>> decodeCode(std::span<const uint8_t> Code);
 
+/// As above, but appends the instructions to \p Out (offsets relative to
+/// the start of \p Code), so several methods can share one vector. On
+/// failure \p Out may hold a partial decode.
+Error decodeCode(std::span<const uint8_t> Code, std::vector<Insn> &Out);
+
 /// Re-encodes instructions; instruction offsets must match what encoding
 /// produces (they do for a vector straight out of decodeCode, and for
 /// vectors built by the pack decoder which assigns offsets itself).
-std::vector<uint8_t> encodeCode(const std::vector<Insn> &Insns);
+std::vector<uint8_t> encodeCode(std::span<const Insn> Insns);
+
+/// As above, but appends the code array to \p W; offsets are relative to
+/// where it starts.
+void encodeCode(std::span<const Insn> Insns, ByteWriter &W);
+
+/// True if encodeCode reproduces \p Code byte for byte from \p Insns,
+/// its decode: the bytes a decode skips (switch padding, the trailing
+/// operand bytes of invokeinterface and invokedynamic) are all zero.
+bool encodesIdentically(std::span<const uint8_t> Code,
+                        std::span<const Insn> Insns);
 
 /// Computes the encoded length of \p I if it begins at \p Offset (switch
 /// padding depends on the offset).

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "classfile/ClassFile.h"
+#include "bytecode/Instruction.h"
 #include "support/ByteBuffer.h"
 
 using namespace cjpack;
@@ -58,13 +59,17 @@ cjpack::parseCodeAttribute(const AttributeInfo &Attr,
   return Out;
 }
 
-AttributeInfo cjpack::encodeCodeAttribute(const CodeAttribute &Code,
-                                          ConstantPool &CP) {
-  ByteWriter W;
+/// Writes a Code attribute's info bytes; \p WriteCode emits the code
+/// array.
+template <typename CodeWriter>
+static void writeCodeAttribute(ByteWriter &W, const CodeAttribute &Code,
+                               ConstantPool &CP, CodeWriter WriteCode) {
   W.writeU2(Code.MaxStack);
   W.writeU2(Code.MaxLocals);
-  W.writeU4(static_cast<uint32_t>(Code.Code.size()));
-  W.writeBytes(Code.Code);
+  size_t LengthAt = W.size();
+  W.writeU4(0);
+  WriteCode();
+  W.patchU4(LengthAt, static_cast<uint32_t>(W.size() - LengthAt - 4));
   W.writeU2(static_cast<uint16_t>(Code.ExceptionTable.size()));
   for (const ExceptionTableEntry &E : Code.ExceptionTable) {
     W.writeU2(E.StartPc);
@@ -78,10 +83,28 @@ AttributeInfo cjpack::encodeCodeAttribute(const CodeAttribute &Code,
     W.writeU4(static_cast<uint32_t>(A.Bytes.size()));
     W.writeBytes(A.Bytes);
   }
+}
+
+AttributeInfo cjpack::encodeCodeAttribute(const CodeAttribute &Code,
+                                          ConstantPool &CP) {
+  ByteWriter W;
+  writeCodeAttribute(W, Code, CP, [&] { W.writeBytes(Code.Code); });
   AttributeInfo Out;
   Out.Name = "Code";
   // The writer's buffer dies with this frame; park the encoded body in
   // the pool's arena so the returned view survives.
   Out.Bytes = CP.arena().copy(W.data());
+  return Out;
+}
+
+AttributeInfo cjpack::encodeCodeAttribute(const CodeAttribute &Code,
+                                          std::span<const Insn> Insns,
+                                          ConstantPool &CP,
+                                          ByteWriter &Scratch) {
+  Scratch.clear();
+  writeCodeAttribute(Scratch, Code, CP, [&] { encodeCode(Insns, Scratch); });
+  AttributeInfo Out;
+  Out.Name = "Code";
+  Out.Bytes = CP.arena().copy(Scratch.data());
   return Out;
 }

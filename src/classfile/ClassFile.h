@@ -24,6 +24,9 @@
 
 namespace cjpack {
 
+class ByteWriter;
+struct Insn;
+
 /// JVM access/property flags (classfile format).
 enum AccessFlag : uint16_t {
   AccPublic = 0x0001,
@@ -116,6 +119,12 @@ Expected<CodeAttribute> parseCodeAttribute(const AttributeInfo &Attr,
 /// nested attribute names into \p CP.
 AttributeInfo encodeCodeAttribute(const CodeAttribute &Code,
                                   ConstantPool &CP);
+
+/// As above, but the code array is encoded from \p Insns in place
+/// (Code.Code is ignored). \p Scratch is a buffer reused across calls.
+AttributeInfo encodeCodeAttribute(const CodeAttribute &Code,
+                                  std::span<const Insn> Insns,
+                                  ConstantPool &CP, ByteWriter &Scratch);
 
 } // namespace cjpack
 

@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "classfile/ConstantPool.h"
+#include <algorithm>
+#include <functional>
 
 using namespace cjpack;
 
@@ -32,67 +34,120 @@ const char *cjpack::cpTagName(CpTag Tag) {
   return "Invalid";
 }
 
-uint16_t ConstantPool::appendRaw(CpEntry E) {
-  uint16_t Index = count();
-  bool Wide = E.isWide();
-  Entries.push_back(std::move(E));
-  if (Wide)
-    Entries.emplace_back(); // shadow slot
-  return Index;
-}
+namespace {
 
-std::string ConstantPool::keyOf(const CpEntry &E) const {
-  // A compact textual key: tag byte, then the discriminating payload.
-  std::string Key;
-  Key.push_back(static_cast<char>(E.Tag));
+/// What identifies an entry besides its tag (and, for Utf8, its text).
+uint64_t payloadOf(const CpEntry &E) {
   switch (E.Tag) {
   case CpTag::Utf8:
-    Key += E.Text;
-    break;
+    return 0;
   case CpTag::Integer:
   case CpTag::Float:
   case CpTag::Long:
   case CpTag::Double:
-    Key.append(reinterpret_cast<const char *>(&E.Bits), sizeof(E.Bits));
-    break;
+    return E.Bits;
   case CpTag::MethodHandle:
-    Key.push_back(static_cast<char>(E.RefKind));
-    Key.append(reinterpret_cast<const char *>(&E.Ref1), sizeof(E.Ref1));
-    break;
+    return uint64_t(E.RefKind) << 16 | E.Ref1;
   default:
-    Key.append(reinterpret_cast<const char *>(&E.Ref1), sizeof(E.Ref1));
-    Key.append(reinterpret_cast<const char *>(&E.Ref2), sizeof(E.Ref2));
-    break;
+    return uint64_t(E.Ref1) << 16 | E.Ref2;
   }
-  return Key;
+}
+
+bool sameContent(const CpEntry &A, const CpEntry &B) {
+  return A.Tag == B.Tag && payloadOf(A) == payloadOf(B) &&
+         (A.Tag != CpTag::Utf8 || A.Text == B.Text);
+}
+
+/// Hashes what sameContent compares; splitmix64's finalizer spreads it
+/// over the low bits the table indexes by.
+uint64_t hashEntry(const CpEntry &E) {
+  uint64_t H = payloadOf(E) ^ uint64_t(E.Tag) << 56;
+  if (E.Tag == CpTag::Utf8)
+    H ^= std::hash<std::string_view>()(E.Text);
+  H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  H = (H ^ (H >> 27)) * 0x94d049bb133111ebULL;
+  return H ^ (H >> 31);
+}
+
+} // namespace
+
+uint16_t ConstantPool::push(CpEntry E) {
+  uint16_t Index = count();
+  Entries.push_back(std::move(E));
+  if (Entries.back().isWide())
+    Entries.emplace_back(); // shadow slot
+  return Index;
+}
+
+uint16_t ConstantPool::appendRaw(CpEntry E) {
+  uint16_t Index = push(std::move(E));
+  if (Entries[Index].Tag == CpTag::None)
+    return Index;
+  reserveSlot();
+  size_t P = slotFor(Entries[Index]);
+  if (Slots[P] == 0) { // else a lower, equal entry keeps the slot
+    Slots[P] = Index;
+    ++SlotsUsed;
+  }
+  return Index;
+}
+
+void ConstantPool::reserve(size_t N) {
+  Entries.reserve(N);
+  growTable(N);
+}
+
+size_t ConstantPool::slotFor(const CpEntry &E) const {
+  size_t Mask = Slots.size() - 1;
+  size_t P = hashEntry(E) & Mask;
+  while (Slots[P] != 0 && !sameContent(Entries[Slots[P]], E))
+    P = (P + 1) & Mask;
+  return P;
+}
+
+void ConstantPool::growTable(size_t MinUsed) {
+  size_t Size = std::max<size_t>(Slots.size(), 64);
+  while (Size < 2 * MinUsed)
+    Size *= 2;
+  if (Size == Slots.size())
+    return;
+  std::vector<uint16_t> Old(Size, 0);
+  Old.swap(Slots);
+  for (uint16_t Index : Old)
+    if (Index != 0)
+      Slots[slotFor(Entries[Index])] = Index;
+}
+
+uint16_t ConstantPool::find(const CpEntry &E) const {
+  return Slots.empty() ? 0 : Slots[slotFor(E)];
+}
+
+uint16_t ConstantPool::findUtf8(std::string_view Text) const {
+  CpEntry E;
+  E.Tag = CpTag::Utf8;
+  E.Text = Text;
+  return find(E);
 }
 
 uint16_t ConstantPool::addKeyed(CpEntry E) {
-  std::string Key = keyOf(E);
-  auto It = Dedup.find(Key);
-  if (It != Dedup.end())
-    return It->second;
+  reserveSlot(); // so the slot found stays the one to fill
+  size_t P = slotFor(E);
+  if (Slots[P] != 0)
+    return Slots[P];
   // The caller's Text view may be transient (a temporary, a buffer the
   // pool does not own); intern the copy that the entry will keep.
   if (E.Tag == CpTag::Utf8)
     E.Text = arena().internString(E.Text);
-  uint16_t Index = appendRaw(std::move(E));
-  Dedup.emplace(std::move(Key), Index);
-  return Index;
-}
-
-void ConstantPool::rebuildIndex() {
-  Dedup.clear();
-  for (uint16_t I = 1; I < count(); ++I)
-    if (Entries[I].Tag != CpTag::None)
-      Dedup.emplace(keyOf(Entries[I]), I);
+  Slots[P] = push(std::move(E));
+  ++SlotsUsed;
+  return Slots[P];
 }
 
 uint16_t ConstantPool::addUtf8(std::string_view Text) {
   CpEntry E;
   E.Tag = CpTag::Utf8;
   E.Text = Text;
-  // Dedup hit returns the existing entry; only a genuinely new string
+  // A lookup hit returns the existing entry; only a genuinely new string
   // is interned into the arena (addKeyed copies E.Text before insert).
   return addKeyed(std::move(E));
 }

@@ -10,6 +10,12 @@
 /// occupy two slots, the second slot holding a None placeholder, exactly
 /// as the classfile format numbers them.
 ///
+/// Lookup is hash-consed: an open-addressing table of entry indices,
+/// hashed on (tag, payload) in place and probed by comparing against the
+/// entries themselves, so no key is ever built. Every usable entry is
+/// indexed as it is appended; of several equal entries the lowest index
+/// owns the slot, so lookups and the deduplicating builders return it.
+///
 /// Utf8 text is stored as std::string_view. In borrowed mode (parsing
 /// over an mmapped jar or archive slice) views point into the caller's
 /// buffer and the pool allocates nothing; in owning mode new text is
@@ -28,7 +34,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace cjpack {
@@ -98,12 +103,8 @@ public:
            Entries[Index].Tag != CpTag::None;
   }
 
+  /// Entries are read-only once appended: the lookup table hashes them.
   const CpEntry &entry(uint16_t Index) const {
-    assert(Index >= 1 && Index < count() && "constant pool index range");
-    return Entries[Index];
-  }
-
-  CpEntry &entry(uint16_t Index) {
     assert(Index >= 1 && Index < count() && "constant pool index range");
     return Entries[Index];
   }
@@ -113,6 +114,16 @@ public:
   /// guarantees E.Text outlives the pool (input mapping or this pool's
   /// arena).
   uint16_t appendRaw(CpEntry E);
+
+  /// Makes room for \p N slots (entries and lookup table) up front.
+  void reserve(size_t N);
+
+  /// Index of the lowest entry equal to \p E (same tag and payload), or
+  /// 0 if there is none.
+  uint16_t find(const CpEntry &E) const;
+
+  /// Index of the lowest Utf8 entry holding \p Text, or 0.
+  uint16_t findUtf8(std::string_view Text) const;
 
   /// \name Deduplicating builders
   /// Each returns the index of an existing equal entry or appends one.
@@ -138,9 +149,6 @@ public:
   /// \p Index.
   std::string_view className(uint16_t Index) const;
 
-  /// Rebuilds the dedup maps after entries are replaced wholesale.
-  void rebuildIndex();
-
   /// The arena owning this pool's interned text (created lazily).
   /// Shared by every copy of the pool; appending is safe because
   /// existing views never move.
@@ -157,10 +165,22 @@ public:
 
 private:
   uint16_t addKeyed(CpEntry E);
-  std::string keyOf(const CpEntry &E) const;
+  uint16_t push(CpEntry E);
+  /// The slot holding an entry equal to \p E, or the empty slot that
+  /// ends its probe sequence.
+  size_t slotFor(const CpEntry &E) const;
+  void growTable(size_t MinUsed);
+  /// Makes room for one more table entry.
+  void reserveSlot() {
+    if (2 * (SlotsUsed + 1) > Slots.size())
+      growTable(SlotsUsed + 1);
+  }
 
   std::vector<CpEntry> Entries;
-  std::unordered_map<std::string, uint16_t> Dedup;
+  /// Open-addressing table of entry indices (0 = empty), a power of two
+  /// in size and at most half full.
+  std::vector<uint16_t> Slots;
+  size_t SlotsUsed = 0;
   std::shared_ptr<Arena> Mem;
 };
 

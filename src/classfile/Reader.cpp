@@ -75,6 +75,7 @@ private:
     if (static_cast<uint64_t>(Count - 1) * 3 > R.remaining())
       return makeError(ErrorCode::Corrupt,
                        "classfile: constant pool larger than input");
+    CF.CP.reserve(Count);
     uint16_t Index = 1;
     while (Index < Count) {
       CpEntry E;
@@ -129,7 +130,6 @@ private:
     if (Index != Count)
       return makeError(ErrorCode::Corrupt,
                        "classfile: wide constant overruns pool");
-    CF.CP.rebuildIndex();
     return R.takeError("classfile constant pool");
   }
 

@@ -23,6 +23,7 @@
 #ifndef CJPACK_CLASSFILE_TRANSFORM_H
 #define CJPACK_CLASSFILE_TRANSFORM_H
 
+#include "bytecode/Instruction.h"
 #include "classfile/ClassFile.h"
 #include "support/Error.h"
 
@@ -40,8 +41,30 @@ void stripDebugInfo(ClassFile &CF, bool DropUnrecognized = true);
 /// Garbage-collects and canonically re-orders the constant pool,
 /// renumbering every reference (including inside bytecode). Requires
 /// unrecognized attributes to have been stripped first; fails otherwise
-/// and on malformed bytecode.
+/// and on malformed bytecode. A class whose pool is already canonical is
+/// left exactly as it is.
 Error canonicalizeConstantPool(ClassFile &CF);
+
+/// Every Code attribute of a class in decoded form: the instructions of
+/// all methods back to back, and where each method's slice belongs.
+struct DecodedCode {
+  struct Body {
+    uint32_t Method = 0;    ///< index into ClassFile::Methods
+    uint32_t Attribute = 0; ///< index of its "Code" attribute there
+    /// Stack and locals, exception table, nested attributes. Header.Code
+    /// is not read: the code array is Insns[Begin, End).
+    CodeAttribute Header;
+    uint32_t Begin = 0, End = 0;
+  };
+  std::vector<Body> Bodies;
+  std::vector<Insn> Insns;
+};
+
+/// canonicalizeConstantPool for a class whose Code attributes are given
+/// decoded (constant-pool operands numbered by CF.CP): the attributes
+/// named by \p Code are placeholders, and each is encoded once, with its
+/// final indices. This is how unpacking builds the canonical pool.
+Error canonicalizeConstantPool(ClassFile &CF, DecodedCode &&Code);
 
 /// stripDebugInfo + canonicalizeConstantPool.
 Error prepareForPacking(ClassFile &CF);

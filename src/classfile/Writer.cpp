@@ -6,27 +6,30 @@
 
 #include "classfile/Writer.h"
 #include "support/ByteBuffer.h"
+#include <optional>
 
 using namespace cjpack;
 
-static void writeAttributes(ByteWriter &W, ConstantPool &CP,
+template <typename NameIndexFn>
+static void writeAttributes(ByteWriter &W, NameIndexFn &NameIndex,
                             const std::vector<AttributeInfo> &Attrs) {
   W.writeU2(static_cast<uint16_t>(Attrs.size()));
   for (const AttributeInfo &A : Attrs) {
-    W.writeU2(CP.addUtf8(A.Name));
+    W.writeU2(NameIndex(A.Name));
     W.writeU4(static_cast<uint32_t>(A.Bytes.size()));
     W.writeBytes(A.Bytes);
   }
 }
 
-static void writeMembers(ByteWriter &W, ConstantPool &CP,
+template <typename NameIndexFn>
+static void writeMembers(ByteWriter &W, NameIndexFn &NameIndex,
                          const std::vector<MemberInfo> &Members) {
   W.writeU2(static_cast<uint16_t>(Members.size()));
   for (const MemberInfo &M : Members) {
     W.writeU2(M.AccessFlags);
     W.writeU2(M.NameIndex);
     W.writeU2(M.DescriptorIndex);
-    writeAttributes(W, CP, M.Attributes);
+    writeAttributes(W, NameIndex, M.Attributes);
   }
 }
 
@@ -78,8 +81,16 @@ static void writeConstantPool(ByteWriter &W, const ConstantPool &CP) {
 
 std::vector<uint8_t> cjpack::writeClassFile(const ClassFile &CF) {
   // Serialize the body first so attribute-name interning lands in the
-  // pool copy before the pool is emitted.
-  ConstantPool CP = CF.CP;
+  // pool copy before the pool is emitted. The copy is made only if the
+  // pool lacks a name.
+  std::optional<ConstantPool> Extended;
+  auto NameIndex = [&](std::string_view Name) -> uint16_t {
+    if (uint16_t Index = (Extended ? *Extended : CF.CP).findUtf8(Name))
+      return Index;
+    if (!Extended)
+      Extended.emplace(CF.CP);
+    return Extended->addUtf8(Name);
+  };
   ByteWriter Body;
   Body.writeU2(CF.AccessFlags);
   Body.writeU2(CF.ThisClass);
@@ -87,15 +98,15 @@ std::vector<uint8_t> cjpack::writeClassFile(const ClassFile &CF) {
   Body.writeU2(static_cast<uint16_t>(CF.Interfaces.size()));
   for (uint16_t I : CF.Interfaces)
     Body.writeU2(I);
-  writeMembers(Body, CP, CF.Fields);
-  writeMembers(Body, CP, CF.Methods);
-  writeAttributes(Body, CP, CF.Attributes);
+  writeMembers(Body, NameIndex, CF.Fields);
+  writeMembers(Body, NameIndex, CF.Methods);
+  writeAttributes(Body, NameIndex, CF.Attributes);
 
   ByteWriter W;
   W.writeU4(0xCAFEBABEu);
   W.writeU2(CF.MinorVersion);
   W.writeU2(CF.MajorVersion);
-  writeConstantPool(W, CP);
+  writeConstantPool(W, Extended ? *Extended : CF.CP);
   W.writeBytes(Body.data());
   return W.take();
 }

@@ -12,6 +12,7 @@
 #include "pack/CodeCommon.h"
 #include "support/VarInt.h"
 #include "zip/Zlib.h"
+#include <iterator>
 #include <map>
 
 using namespace cjpack;
@@ -696,13 +697,18 @@ private:
       CF.Fields.push_back(std::move(MI));
     }
 
+    // Code is handed to canonicalization decoded, to be encoded once
+    // with the final pool indices.
+    DecodedCode Decoded;
     for (MethodRec &DM : MethodRecs) {
       MemberInfo MI;
       MI.AccessFlags = static_cast<uint16_t>(DM.Flags & 0xFFFF);
       MI.NameIndex = CF.CP.addUtf8(M.Utfs[DM.Name]);
       MI.DescriptorIndex = CF.CP.addUtf8(M.Utfs[DM.Desc]);
       if (DM.HasCode) {
-        CodeAttribute Code;
+        DecodedCode::Body Body;
+        Body.Method = static_cast<uint32_t>(CF.Methods.size());
+        CodeAttribute &Code = Body.Header;
         Code.MaxStack = static_cast<uint16_t>(DM.MaxStack);
         Code.MaxLocals = static_cast<uint16_t>(DM.MaxLocals);
         for (size_t K = 0; K < DM.Insns.size(); ++K) {
@@ -714,9 +720,6 @@ private:
           case CpRefKind::LoadConst:
           case CpRefKind::LoadConst2:
             I.CpIndex = materializeLoadable(CF, Id);
-            if (I.Opcode == Op::Ldc && I.CpIndex > 0xFF)
-              return Error::failure("jazz: ldc constant escaped the low "
-                                    "indices");
             break;
           case CpRefKind::ClassRef:
             I.CpIndex = CF.CP.addClass(classNameOf(Id));
@@ -741,8 +744,6 @@ private:
           }
           }
         }
-        std::vector<uint8_t> CodeBytes = encodeCode(DM.Insns);
-        Code.Code = CodeBytes;
         for (const MethodRec::Exc &E : DM.Table) {
           ExceptionTableEntry T;
           T.StartPc = static_cast<uint16_t>(E.Start);
@@ -752,7 +753,13 @@ private:
               E.HasCatch ? CF.CP.addClass(classNameOf(E.CatchClass)) : 0;
           Code.ExceptionTable.push_back(T);
         }
-        MI.Attributes.push_back(encodeCodeAttribute(Code, CF.CP));
+        Body.Begin = static_cast<uint32_t>(Decoded.Insns.size());
+        std::move(DM.Insns.begin(), DM.Insns.end(),
+                  std::back_inserter(Decoded.Insns));
+        Body.End = static_cast<uint32_t>(Decoded.Insns.size());
+        Body.Attribute = static_cast<uint32_t>(MI.Attributes.size());
+        Decoded.Bodies.push_back(std::move(Body));
+        MI.Attributes.push_back({"Code", {}});
       }
       if (DM.Flags & PackedFlagAux1) {
         ByteWriter W;
@@ -768,7 +775,7 @@ private:
       CF.Methods.push_back(std::move(MI));
     }
 
-    if (auto E = canonicalizeConstantPool(CF))
+    if (auto E = canonicalizeConstantPool(CF, std::move(Decoded)))
       return E;
     return CF;
   }

@@ -78,6 +78,9 @@ public:
   open(const uint8_t *Data, size_t Size, const DecodeLimits &Limits = {});
   static Expected<PackedArchiveReader>
   open(const std::vector<uint8_t> &Archive, const DecodeLimits &Limits = {});
+  /// The reader borrows the archive, so a temporary would dangle.
+  static Expected<PackedArchiveReader>
+  open(std::vector<uint8_t> &&Archive, const DecodeLimits &Limits = {}) = delete;
 
   PackedArchiveReader(PackedArchiveReader &&) noexcept;
   PackedArchiveReader &operator=(PackedArchiveReader &&) noexcept;

@@ -16,21 +16,26 @@ class Materializer {
 public:
   explicit Materializer(const Model &M) : M(M) {}
 
+  /// Runs once: the decoded code moves into canonicalization.
   Expected<ClassFile> run(const ClassRec &DC) {
     ClassFile CF;
     CF.MinorVersion = static_cast<uint16_t>(DC.MinorVersion);
     CF.MajorVersion = static_cast<uint16_t>(DC.MajorVersion);
     CF.AccessFlags = static_cast<uint16_t>(DC.Flags & 0xFFFF);
 
-    // §9: materialize constants referenced by one-byte ldc first so
-    // they land at the smallest constant-pool indices.
+    // Materialize constants referenced by one-byte ldc first. The
+    // canonical order does not depend on it, except for ties between
+    // equal sort keys, which fall to the materialization order.
+    size_t NumInsns = 0;
     for (const MethodRec &DM : DC.Methods) {
       if (!DM.Code)
         continue;
+      NumInsns += DM.Code->Insns.size();
       for (size_t K = 0; K < DM.Code->Insns.size(); ++K)
         if (DM.Code->Insns[K].Opcode == Op::Ldc)
           addConst(CF, DM.Code->Operands[K]);
     }
+    Code.Insns.reserve(NumInsns);
 
     CF.ThisClass = CF.CP.addClass(M.classRefInternalName(DC.ThisId));
     CF.SuperClass =
@@ -44,20 +49,14 @@ public:
     if (DC.Flags & PackedFlagDeprecated)
       CF.Attributes.push_back({"Deprecated", {}});
 
-    for (const FieldRec &F : DC.Fields) {
-      auto MI = materializeField(CF, F);
-      if (!MI)
-        return MI.takeError();
-      CF.Fields.push_back(std::move(*MI));
-    }
-    for (const MethodRec &DM : DC.Methods) {
-      auto MI = materializeMethod(CF, DM);
-      if (!MI)
-        return MI.takeError();
-      CF.Methods.push_back(std::move(*MI));
-    }
+    for (const FieldRec &F : DC.Fields)
+      CF.Fields.push_back(materializeField(CF, F));
+    for (const MethodRec &DM : DC.Methods)
+      CF.Methods.push_back(materializeMethod(CF, DM));
 
-    if (auto E = canonicalizeConstantPool(CF))
+    // Canonicalization sorts the pool (§9 puts ldc constants lowest)
+    // and encodes each Code attribute once, with the final indices.
+    if (auto E = canonicalizeConstantPool(CF, std::move(Code)))
       return E;
     return CF;
   }
@@ -88,8 +87,7 @@ private:
       MI.Attributes.push_back({"Deprecated", {}});
   }
 
-  Expected<MemberInfo> materializeField(ClassFile &CF,
-                                        const FieldRec &F) {
+  MemberInfo materializeField(ClassFile &CF, const FieldRec &F) {
     const MFieldRef &Ref = M.fieldRef(F.RefId);
     MemberInfo MI;
     MI.AccessFlags = static_cast<uint16_t>(F.Flags & 0xFFFF);
@@ -106,18 +104,22 @@ private:
     return MI;
   }
 
-  Expected<MemberInfo> materializeMethod(ClassFile &CF,
-                                         const MethodRec &DM) {
+  MemberInfo materializeMethod(ClassFile &CF, const MethodRec &DM) {
     const MMethodRef &Ref = M.methodRef(DM.RefId);
     MemberInfo MI;
     MI.AccessFlags = static_cast<uint16_t>(DM.Flags & 0xFFFF);
     MI.NameIndex = CF.CP.addUtf8(M.methodName(Ref.Name));
     MI.DescriptorIndex = CF.CP.addUtf8(M.signatureDescriptor(Ref.Sig));
     if (DM.Code) {
-      auto Attr = materializeCode(CF, *DM.Code);
-      if (!Attr)
-        return Attr.takeError();
-      MI.Attributes.push_back(std::move(*Attr));
+      // A placeholder, filled in by canonicalization.
+      DecodedCode::Body B;
+      B.Method = static_cast<uint32_t>(CF.Methods.size());
+      B.Attribute = static_cast<uint32_t>(MI.Attributes.size());
+      B.Begin = static_cast<uint32_t>(Code.Insns.size());
+      B.Header = materializeCode(CF, *DM.Code);
+      B.End = static_cast<uint32_t>(Code.Insns.size());
+      Code.Bodies.push_back(std::move(B));
+      MI.Attributes.push_back({"Code", {}});
     }
     if (DM.Flags & PackedFlagAux1) {
       ByteWriter W;
@@ -130,15 +132,15 @@ private:
     return MI;
   }
 
-  Expected<AttributeInfo> materializeCode(ClassFile &CF,
-                                          const CodeRec &DC) {
-    CodeAttribute Code;
-    Code.MaxStack = static_cast<uint16_t>(DC.MaxStack);
-    Code.MaxLocals = static_cast<uint16_t>(DC.MaxLocals);
+  /// Appends \p DC's instructions to Code.Insns, their operands added to
+  /// the pool, and returns the attribute's header.
+  CodeAttribute materializeCode(ClassFile &CF, const CodeRec &DC) {
+    CodeAttribute Header;
+    Header.MaxStack = static_cast<uint16_t>(DC.MaxStack);
+    Header.MaxLocals = static_cast<uint16_t>(DC.MaxLocals);
 
-    std::vector<Insn> Insns = DC.Insns;
-    for (size_t K = 0; K < Insns.size(); ++K) {
-      Insn &I = Insns[K];
+    for (size_t K = 0; K < DC.Insns.size(); ++K) {
+      Insn &I = Code.Insns.emplace_back(DC.Insns[K]);
       const CodeOperand &C = DC.Operands[K];
       switch (C.Kind) {
       case ConstKind::None:
@@ -172,13 +174,7 @@ private:
         break;
       }
       }
-      if (I.Opcode == Op::Ldc && I.CpIndex > 0xFF)
-        return makeError(ErrorCode::Corrupt,
-                         "unpack: ldc constant escaped the low "
-                         "constant-pool indices");
     }
-    std::vector<uint8_t> CodeBytes = encodeCode(Insns);
-    Code.Code = CodeBytes;
 
     for (const CodeRec::Handler &E : DC.Table) {
       ExceptionTableEntry T;
@@ -189,12 +185,13 @@ private:
           E.HasCatch
               ? CF.CP.addClass(M.classRefInternalName(E.CatchClass))
               : 0;
-      Code.ExceptionTable.push_back(T);
+      Header.ExceptionTable.push_back(T);
     }
-    return encodeCodeAttribute(Code, CF.CP);
+    return Header;
   }
 
   const Model &M;
+  DecodedCode Code;
 };
 
 } // namespace

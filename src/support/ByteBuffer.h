@@ -81,6 +81,8 @@ public:
   size_t size() const { return Bytes.size(); }
   const std::vector<uint8_t> &data() const { return Bytes; }
   std::vector<uint8_t> take() { return std::move(Bytes); }
+  /// Empties the sink but keeps its capacity, for reuse.
+  void clear() { Bytes.clear(); }
 
 private:
   std::vector<uint8_t> Bytes;

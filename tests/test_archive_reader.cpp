@@ -31,6 +31,18 @@ using namespace cjpack;
 
 namespace {
 
+/// Whether PackedArchiveReader::open accepts an archive of type \p V.
+template <typename V>
+concept OpensFrom = requires(V &&Archive) {
+  PackedArchiveReader::open(std::forward<V>(Archive));
+};
+
+// The reader borrows the bytes: a named vector opens, a temporary (which
+// would dangle) does not compile.
+static_assert(OpensFrom<std::vector<uint8_t> &>);
+static_assert(OpensFrom<const std::vector<uint8_t> &>);
+static_assert(!OpensFrom<std::vector<uint8_t>>);
+
 std::vector<NamedClass> readerCorpus() {
   CorpusSpec Spec;
   Spec.Name = "reader";

@@ -492,9 +492,9 @@ TEST(ServeServer, BudgetExhaustionDoesNotPoisonLaterRequests) {
 
   // Cached readers run under CacheLimits (default: generous), so the
   // same archive still serves single classes.
-  std::string Name = (*PackedArchiveReader::open(packIndexed(Classes)))
-                         .classNames()
-                         .front();
+  std::vector<uint8_t> Archive = packIndexed(Classes);
+  std::string Name =
+      (*PackedArchiveReader::open(Archive)).classNames().front();
   auto R2 = C.call(Opcode::UnpackClass, {CjpPath, Name});
   ASSERT_TRUE(static_cast<bool>(R2));
   EXPECT_EQ(R2->St, Status::Ok) << R2->text();
