@@ -109,10 +109,10 @@ std::string cjpack::printMethodDesc(const MethodDesc &M) {
   return Out;
 }
 
-VType cjpack::vtypeOf(const TypeDesc &T) {
-  if (T.Dims > 0 || T.Base == 'L')
+VType cjpack::vtypeOf(uint8_t Dims, char Base) {
+  if (Dims > 0 || Base == 'L')
     return VType::Ref;
-  switch (T.Base) {
+  switch (Base) {
   case 'B': case 'C': case 'S': case 'Z': case 'I':
     return VType::Int;
   case 'J':

@@ -66,17 +66,6 @@ class RefStats {
 public:
   void note(uint32_t Pool, uint32_t Object) { ++Counts[{Pool, Object}]; }
 
-  /// Adds \p N occurrences at once (rebuilding stats under an object-id
-  /// remap).
-  void add(uint32_t Pool, uint32_t Object, uint32_t N) {
-    Counts[{Pool, Object}] += N;
-  }
-
-  /// The raw (pool, object) -> count table, for id remapping.
-  const std::map<std::pair<uint32_t, uint32_t>, uint32_t> &counts() const {
-    return Counts;
-  }
-
   uint32_t countOf(uint32_t Pool, uint32_t Object) const {
     auto It = Counts.find({Pool, Object});
     return It == Counts.end() ? 0 : It->second;

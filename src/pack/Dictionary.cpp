@@ -142,6 +142,8 @@ SharedDictionary::deserialize(ByteReader &R, const DecodeLimits &Limits,
     }
     if (Body.hasError())
       return makeError(ErrorCode::Corrupt, "dictionary: truncated class refs");
+    if (!validClassRefShape(Ref.Dims, Ref.Base))
+      return makeError(ErrorCode::Corrupt, "dictionary: malformed class ref");
     D.ClassRefs.push_back(Ref);
   }
   return D;

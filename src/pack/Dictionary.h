@@ -15,12 +15,15 @@
 /// shard references a shared object by queue index and never by
 /// definition.
 ///
-/// Replay uses Model interning, which is idempotent, so replaying the
-/// same dictionary in the same order yields the same object ids on the
-/// compressor and decompressor. Only strings and class references are
-/// shared: field/method references barely recur across shards, and
-/// their per-shard definitions already collapse to cheap references
-/// into the dictionary.
+/// Both sides replay the same values in the same order, so the coders
+/// see the same preload events over corresponding objects. The ids
+/// differ: the compressor replays into a shard model that already holds
+/// the shard's values (interning is idempotent, so those keep their
+/// ids), the decompressor into one holding at most the standard
+/// preload. Only strings and class references are shared: field/method
+/// references barely recur across shards, and their per-shard
+/// definitions already collapse to cheap references into the
+/// dictionary.
 ///
 /// Schemes without preload support (Freq/Cache) use an empty
 /// dictionary; their shards stay fully independent.

@@ -6,14 +6,16 @@
 //
 // Packing is three passes. A lowering pass converts each classfile into
 // the shared wire records (Transcode.h), interning every object into the
-// shard's Model in traversal order — the order that fixes object ids on
-// both sides. A counting pass then drives the shared Transcriber over
+// shard's Model. A counting pass then drives the shared Transcriber over
 // the records with a counting coder to gather the reference statistics
 // the transient/frequency schemes need, and the emitting pass drives the
-// same Transcriber again with the real coder to write the streams. The
-// two codec passes perform the identical traversal (same records, same
-// transcriber), so first-occurrence structure and ids line up by
-// construction.
+// same Transcriber again with the real coder to write the streams.
+//
+// Object ids stay off the wire (bar the Freq/Cache rank tie order, and
+// those schemes take no dictionary): the decoder needs only the same
+// sequence of preload, define and reference events over objects in
+// one-to-one correspondence. So each shard keeps its own id space, and
+// values only the dictionary holds are appended after the shard's own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +63,7 @@ private:
 };
 
 /// Lowers classfiles into the shared wire records, interning every
-/// referenced object into \p M. The intern calls happen in the same
-/// preorder the Transcriber will visit the records in, so object ids
-/// equal their first-occurrence order on the wire.
+/// referenced object into \p M.
 class Lowerer {
 public:
   explicit Lowerer(Model &M) : M(M) {}
@@ -413,15 +413,20 @@ countShardPass(const std::vector<const ClassFile *> &Ordered,
 }
 
 /// Pass two over \p Plan's records with the model and stats from the
-/// counting pass: emits the streams. \p Dict, when non-null, is
-/// replayed into the coder after the standard preload, exactly as the
-/// decoder will. \p Items and \p Tally, when non-null, receive the
-/// per-stream item counts and per-pool coder tallies (observational).
+/// counting pass: emits the streams. The standard preload and then
+/// \p Dict, when non-null, are replayed into the model and the coder,
+/// exactly as the decoder will. Interning is idempotent, so a replayed
+/// value the shard already holds keeps its id and the records stay
+/// valid; a value only the dictionary holds is appended. \p Items and
+/// \p Tally, when non-null, receive the per-stream item counts and
+/// per-pool coder tallies (observational).
 Expected<StreamSet>
 emitShardStreams(ShardPlan &Plan, const SharedDictionary *Dict,
                  const PackOptions &Options,
                  std::array<uint64_t, NumStreams> *Items,
                  CoderTally *Tally) {
+  // Counted without the dictionary: counting with it preloaded would
+  // reclassify transients and change the bytes of every v2/v3 archive.
   auto Enc = makeRefEncoder(Options.Scheme, &Plan.Stats);
   if (Options.PreloadStandardRefs &&
       !preloadStandardRefs(Plan.M, *Enc, Options.Scheme))
@@ -442,147 +447,6 @@ emitShardStreams(ShardPlan &Plan, const SharedDictionary *Dict,
   if (auto E = Pass2.transcodeArchive(Plan.Recs))
     return E;
   return S;
-}
-
-/// Rebuilds a counting-pass plan in the id space the emitting pass will
-/// use once \p Dict is seeded first: a fresh model interning the
-/// standard preloads, then the dictionary, then the shard's objects in
-/// their original first-occurrence order (so ids match the decoder's
-/// append order for non-preloaded objects), plus the shard's records
-/// and reference stats translated into the new ids.
-ShardPlan remapPlanForDictionary(ShardPlan Plan,
-                                 const SharedDictionary &Dict,
-                                 const PackOptions &Options) {
-  ShardPlan Out;
-  Model &M2 = Out.M;
-  {
-    NullRefEncoder Null;
-    if (Options.PreloadStandardRefs)
-      preloadStandardRefs(M2, Null, Options.Scheme);
-    preloadDictionary(M2, Null, Dict);
-  }
-
-  const Model &MA = Plan.M;
-  std::vector<uint32_t> PkgMap(MA.packageCount()),
-      SimpMap(MA.simpleNameCount()), FldMap(MA.fieldNameCount()),
-      MthMap(MA.methodNameCount()), StrMap(MA.stringConstCount()),
-      CMap(MA.classRefCount()), FMap(MA.fieldRefCount()),
-      MMap(MA.methodRefCount());
-  for (uint32_t I = 0; I < PkgMap.size(); ++I)
-    PkgMap[I] = M2.internPackage(MA.package(I));
-  for (uint32_t I = 0; I < SimpMap.size(); ++I)
-    SimpMap[I] = M2.internSimpleName(MA.simpleName(I));
-  for (uint32_t I = 0; I < FldMap.size(); ++I)
-    FldMap[I] = M2.internFieldName(MA.fieldName(I));
-  for (uint32_t I = 0; I < MthMap.size(); ++I)
-    MthMap[I] = M2.internMethodName(MA.methodName(I));
-  for (uint32_t I = 0; I < StrMap.size(); ++I)
-    StrMap[I] = M2.internStringConst(MA.stringConst(I));
-  for (uint32_t I = 0; I < CMap.size(); ++I) {
-    MClassRef R = MA.classRef(I);
-    if (R.Base == 'L') {
-      R.Package = PkgMap[R.Package];
-      R.Simple = SimpMap[R.Simple];
-    }
-    CMap[I] = M2.internClassRef(R);
-  }
-  for (uint32_t I = 0; I < FMap.size(); ++I) {
-    MFieldRef R = MA.fieldRef(I);
-    R.Owner = CMap[R.Owner];
-    R.Name = FldMap[R.Name];
-    R.Type = CMap[R.Type];
-    FMap[I] = M2.internFieldRef(R);
-  }
-  for (uint32_t I = 0; I < MMap.size(); ++I) {
-    MMethodRef R = MA.methodRef(I);
-    R.Owner = CMap[R.Owner];
-    R.Name = MthMap[R.Name];
-    for (uint32_t &C : R.Sig)
-      C = CMap[C];
-    MMap[I] = M2.internMethodRef(R);
-  }
-
-  for (const auto &[Key, Count] : Plan.Stats.counts()) {
-    uint32_t Object = Key.second;
-    switch (static_cast<PoolKind>(Key.first)) {
-    case PoolKind::Package:
-      Object = PkgMap[Object];
-      break;
-    case PoolKind::SimpleName:
-      Object = SimpMap[Object];
-      break;
-    case PoolKind::ClassRefPool:
-      Object = CMap[Object];
-      break;
-    case PoolKind::FieldName:
-      Object = FldMap[Object];
-      break;
-    case PoolKind::MethodName:
-      Object = MthMap[Object];
-      break;
-    case PoolKind::StringConst:
-      Object = StrMap[Object];
-      break;
-    case PoolKind::FieldInstance:
-    case PoolKind::FieldStatic:
-      Object = FMap[Object];
-      break;
-    case PoolKind::MethodVirtual:
-    case PoolKind::MethodSpecial:
-    case PoolKind::MethodStatic:
-    case PoolKind::MethodInterface:
-      Object = MMap[Object];
-      break;
-    }
-    Out.Stats.add(Key.first, Object, Count);
-  }
-
-  // Translate the lowered records through the same maps. Every id in a
-  // record was interned into Plan.M, and every Plan.M entry is mapped,
-  // so this is equivalent to re-lowering against M2 — without touching
-  // the classfiles again.
-  Out.Recs = std::move(Plan.Recs);
-  for (ClassRec &R : Out.Recs) {
-    R.ThisId = CMap[R.ThisId];
-    if (R.HasSuper)
-      R.SuperId = CMap[R.SuperId];
-    for (uint32_t &Id : R.Interfaces)
-      Id = CMap[Id];
-    for (FieldRec &F : R.Fields) {
-      F.RefId = FMap[F.RefId];
-      if (F.Const.Kind == ConstKind::String)
-        F.Const.Id = StrMap[F.Const.Id];
-    }
-    for (MethodRec &Mth : R.Methods) {
-      Mth.RefId = MMap[Mth.RefId];
-      for (uint32_t &Id : Mth.Exceptions)
-        Id = CMap[Id];
-      if (!Mth.Code)
-        continue;
-      for (CodeRec::Handler &H : Mth.Code->Table)
-        if (H.HasCatch)
-          H.CatchClass = CMap[H.CatchClass];
-      for (CodeOperand &Operand : Mth.Code->Operands) {
-        switch (Operand.Kind) {
-        case ConstKind::String:
-          Operand.Id = StrMap[Operand.Id];
-          break;
-        case ConstKind::ClassTarget:
-          Operand.Id = CMap[Operand.Id];
-          break;
-        case ConstKind::Field:
-          Operand.Id = FMap[Operand.Id];
-          break;
-        case ConstKind::Method:
-          Operand.Id = MMap[Operand.Id];
-          break;
-        default:
-          break;
-        }
-      }
-    }
-  }
-  return Out;
 }
 
 /// The common archive header (shared by all format versions).
@@ -726,7 +590,6 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
   // index) and rolled up after the joins, so tracing adds no sharing.
   std::vector<ShardPlan> Plans;
   Plans.reserve(ShardCount);
-  std::vector<ShardPlan> Emit(ShardCount);
   SharedDictionary Dict;
   std::vector<std::array<uint64_t, NumStreams>> ShardItems(ShardCount);
   std::vector<CoderTally> ShardTallies(ShardCount);
@@ -775,20 +638,16 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
   Result.DictionaryEntries = Dict.entryCount();
   Result.Trace.Phases.ModelSec = ModelTimer.seconds();
 
-  // Emitting passes, again one per shard, on models rebuilt around the
-  // dictionary's id space.
+  // Emitting passes, again one per shard, each on its own counting
+  // pass's plan.
   Stopwatch EmitTimer;
   std::vector<std::future<Expected<StreamSet>>> Futures;
   Futures.reserve(ShardCount);
   for (size_t K = 0; K < ShardCount; ++K)
-    Futures.push_back(Pool.submit([&Plans, &Emit, &Dict, &Options, &Result,
+    Futures.push_back(Pool.submit([&Plans, &Dict, &Options, &Result,
                                    &ShardItems, &ShardTallies, K] {
       Stopwatch ShardTimer;
-      Emit[K] = Dict.empty()
-                    ? std::move(Plans[K])
-                    : remapPlanForDictionary(std::move(Plans[K]), Dict,
-                                             Options);
-      auto S = emitShardStreams(Emit[K], Dict.empty() ? nullptr : &Dict,
+      auto S = emitShardStreams(Plans[K], Dict.empty() ? nullptr : &Dict,
                                 Options, &ShardItems[K], &ShardTallies[K]);
       Result.Trace.Shards[K].EmitSec = ShardTimer.seconds();
       return S;

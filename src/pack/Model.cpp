@@ -102,31 +102,6 @@ Model::internSignature(std::string_view Desc) {
   return Sig;
 }
 
-uint32_t Model::appendPackage(std::string Name) {
-  return internPackage(Name);
-}
-uint32_t Model::appendSimpleName(std::string Name) {
-  return internSimpleName(Name);
-}
-uint32_t Model::appendFieldName(std::string Name) {
-  return internFieldName(Name);
-}
-uint32_t Model::appendMethodName(std::string Name) {
-  return internMethodName(Name);
-}
-uint32_t Model::appendStringConst(std::string Value) {
-  return internStringConst(Value);
-}
-uint32_t Model::appendClassRef(const MClassRef &Ref) {
-  return internClassRef(Ref);
-}
-uint32_t Model::appendFieldRef(MFieldRef Ref) {
-  return internFieldRef(Ref);
-}
-uint32_t Model::appendMethodRef(MMethodRef Ref) {
-  return internMethodRef(Ref);
-}
-
 TypeDesc Model::classRefTypeDesc(uint32_t Id) const {
   const MClassRef &Ref = classRef(Id);
   TypeDesc T;
@@ -168,5 +143,6 @@ void Model::signatureVTypes(const std::vector<uint32_t> &Sig,
 }
 
 VType Model::classRefVType(uint32_t Id) const {
-  return vtypeOf(classRefTypeDesc(Id));
+  const MClassRef &Ref = classRef(Id);
+  return vtypeOf(Ref.Dims, Ref.Base);
 }

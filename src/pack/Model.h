@@ -11,10 +11,12 @@
 /// are special class references. Objects live in interned pools with
 /// dense ids — the unit the reference coders (§5) operate on.
 ///
-/// The same Model type serves the compressor (interning while
-/// traversing classfiles) and the decompressor (pools filled in decode
-/// order); ids correspond across the two sides because both perform the
-/// identical traversal.
+/// The same Model type serves the compressor (interning while lowering
+/// classfiles) and the decompressor (interning definitions in decode
+/// order). The two sides need not number objects alike: the coders must
+/// see the same sequence of preload, define and reference events over
+/// objects in one-to-one correspondence. A sharded encoder numbers each
+/// shard in its own id space, unlike the decoder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,6 +90,16 @@ struct MClassRef {
   }
 };
 
+/// Whether \p Dims dimensions over \p Base name a JVM type: a primitive
+/// descriptor letter, 'L' or 'V', void never as an array element, and
+/// at most 255 dimensions. Decoders reject any other class reference.
+inline bool validClassRefShape(uint64_t Dims, char Base) {
+  if (Base == 'V')
+    return Dims == 0;
+  return Dims <= 255 && std::string_view("BCDFIJSZL").find(Base) !=
+                            std::string_view::npos;
+}
+
 /// A field reference: owner class, field name, field type.
 struct MFieldRef {
   uint32_t Owner = 0;
@@ -114,7 +126,7 @@ struct MMethodRef {
 /// Interned pools for the restructured format.
 class Model {
 public:
-  /// \name Interning (compressor side; idempotent)
+  /// \name Interning (idempotent: an equal value keeps its first id)
   /// @{
   uint32_t internPackage(std::string_view Name);
   uint32_t internSimpleName(std::string_view Name);
@@ -134,18 +146,6 @@ public:
 
   /// Interns a method descriptor as [return, args...] class refs.
   Expected<std::vector<uint32_t>> internSignature(std::string_view Desc);
-  /// @}
-
-  /// \name Appending (decompressor side: ids assigned in decode order)
-  /// @{
-  uint32_t appendPackage(std::string Name);
-  uint32_t appendSimpleName(std::string Name);
-  uint32_t appendFieldName(std::string Name);
-  uint32_t appendMethodName(std::string Name);
-  uint32_t appendStringConst(std::string Value);
-  uint32_t appendClassRef(const MClassRef &Ref);
-  uint32_t appendFieldRef(MFieldRef Ref);
-  uint32_t appendMethodRef(MMethodRef Ref);
   /// @}
 
   /// \name Lookup

@@ -164,7 +164,7 @@ struct DecodeContext {
   uint32_t poisonClass() {
     MClassRef Void;
     Void.Base = 'V';
-    return M.appendClassRef(Void);
+    return M.internClassRef(Void);
   }
 };
 
@@ -316,15 +316,15 @@ private:
 
   /// One string-pool reference site: coder reference in \p RefStream, a
   /// first occurrence followed by the string's definition in \p Chars.
-  /// \p Count / \p Append / \p Get bind the helper to one Model pool;
+  /// \p Count / \p Intern / \p Get bind the helper to one Model pool;
   /// \p What names the pool in the out-of-range diagnostic.
-  template <typename CountFn, typename AppendFn, typename GetFn>
+  template <typename CountFn, typename InternFn, typename GetFn>
   uint32_t xStringRef(PoolKind Pool, StreamId RefStream, StreamId Chars,
                       const char *What, uint32_t EncId, CountFn Count,
-                      AppendFn Append, GetFn Get) {
+                      InternFn Intern, GetFn Get) {
     if constexpr (Ctx::IsEncode) {
       (void)Count;
-      (void)Append;
+      (void)Intern;
       (void)What;
       bool Def = C.Enc.encodeCounted(poolId(Pool), 0, EncId,
                                      C.S.out(RefStream));
@@ -342,9 +342,9 @@ private:
           return *Existing;
         C.fail(ErrorCode::Corrupt,
                std::string("unpack: ") + What + " ref out of range");
-        return Append(std::string());
+        return Intern("");
       }
-      uint32_t Id = Append(xStringDef(std::string(), Chars));
+      uint32_t Id = Intern(xStringDef(std::string(), Chars));
       C.Dec.registerNew(poolId(Pool), 0, Id);
       return Id;
     }
@@ -354,7 +354,7 @@ private:
     return xStringRef(
         PoolKind::Package, StreamId::PackageRefs, StreamId::ClassNameChars,
         "package", Id, [this] { return C.M.packageCount(); },
-        [this](std::string S) { return C.M.appendPackage(std::move(S)); },
+        [this](std::string_view S) { return C.M.internPackage(S); },
         [this](uint32_t I) -> const std::string & { return C.M.package(I); });
   }
 
@@ -363,7 +363,7 @@ private:
         PoolKind::SimpleName, StreamId::SimpleNameRefs,
         StreamId::ClassNameChars, "simple-name", Id,
         [this] { return C.M.simpleNameCount(); },
-        [this](std::string S) { return C.M.appendSimpleName(std::move(S)); },
+        [this](std::string_view S) { return C.M.internSimpleName(S); },
         [this](uint32_t I) -> const std::string & {
           return C.M.simpleName(I);
         });
@@ -373,7 +373,7 @@ private:
     return xStringRef(
         PoolKind::FieldName, StreamId::FieldNameRefs, StreamId::NameChars,
         "field-name", Id, [this] { return C.M.fieldNameCount(); },
-        [this](std::string S) { return C.M.appendFieldName(std::move(S)); },
+        [this](std::string_view S) { return C.M.internFieldName(S); },
         [this](uint32_t I) -> const std::string & {
           return C.M.fieldName(I);
         });
@@ -383,7 +383,7 @@ private:
     return xStringRef(
         PoolKind::MethodName, StreamId::MethodNameRefs, StreamId::NameChars,
         "method-name", Id, [this] { return C.M.methodNameCount(); },
-        [this](std::string S) { return C.M.appendMethodName(std::move(S)); },
+        [this](std::string_view S) { return C.M.internMethodName(S); },
         [this](uint32_t I) -> const std::string & {
           return C.M.methodName(I);
         });
@@ -394,18 +394,28 @@ private:
         PoolKind::StringConst, StreamId::StringConstRefs,
         StreamId::StringConstChars, "string-const", Id,
         [this] { return C.M.stringConstCount(); },
-        [this](std::string S) { return C.M.appendStringConst(std::move(S)); },
+        [this](std::string_view S) { return C.M.internStringConst(S); },
         [this](uint32_t I) -> const std::string & {
           return C.M.stringConst(I);
         });
   }
 
   /// A class reference's definition body: dimensions and base in Counts,
-  /// then (for 'L' bases) the package and simple-name references.
+  /// then (for 'L' bases) the package and simple-name references. Decode
+  /// rejects a shape that names no JVM type and reads it as void.
   void classDefBody(MClassRef &R) {
-    R.Dims = static_cast<uint8_t>(xVarU(StreamId::Counts, R.Dims));
+    uint64_t Dims = xVarU(StreamId::Counts, R.Dims);
     R.Base = static_cast<char>(
         xU1(StreamId::Counts, static_cast<uint8_t>(R.Base)));
+    if constexpr (!Ctx::IsEncode) {
+      if (!validClassRefShape(Dims, R.Base)) {
+        if (!C.S.in(StreamId::Counts).hasError())
+          C.fail(ErrorCode::Corrupt, "unpack: malformed class ref definition");
+        Dims = 0;
+        R.Base = 'V';
+      }
+    }
+    R.Dims = static_cast<uint8_t>(Dims);
     if (R.Base == 'L') {
       R.Package = xPackage(R.Package);
       R.Simple = xSimpleName(R.Simple);
@@ -433,7 +443,7 @@ private:
       }
       MClassRef R;
       classDefBody(R);
-      uint32_t Id = C.M.appendClassRef(R);
+      uint32_t Id = C.M.internClassRef(R);
       C.Dec.registerNew(Pool, 0, Id);
       return Id;
     }
@@ -467,13 +477,13 @@ private:
         C.fail(ErrorCode::Corrupt, "unpack: field ref out of range");
         MFieldRef P;
         P.Owner = C.poisonClass();
-        P.Name = C.M.appendFieldName(std::string());
+        P.Name = C.M.internFieldName("");
         P.Type = C.poisonClass();
-        return C.M.appendFieldRef(P);
+        return C.M.internFieldRef(P);
       }
       MFieldRef R;
       fieldDefBody(R);
-      uint32_t Id = C.M.appendFieldRef(R);
+      uint32_t Id = C.M.internFieldRef(R);
       C.Dec.registerNew(poolId(Pool), 0, Id);
       return Id;
     }
@@ -503,7 +513,7 @@ private:
       if (R.Sig.empty()) {
         MClassRef Void;
         Void.Base = 'V';
-        R.Sig.push_back(C.M.appendClassRef(Void));
+        R.Sig.push_back(C.M.internClassRef(Void));
       }
     }
   }
@@ -528,13 +538,13 @@ private:
         C.fail(ErrorCode::Corrupt, "unpack: method ref out of range");
         MMethodRef P;
         P.Owner = C.poisonClass();
-        P.Name = C.M.appendMethodName(std::string());
+        P.Name = C.M.internMethodName("");
         P.Sig.push_back(C.poisonClass());
-        return C.M.appendMethodRef(std::move(P));
+        return C.M.internMethodRef(P);
       }
       MMethodRef R;
       methodDefBody(R);
-      uint32_t Id = C.M.appendMethodRef(std::move(R));
+      uint32_t Id = C.M.internMethodRef(R);
       C.Dec.registerNew(poolId(Pool), Sub, Id);
       return Id;
     }

@@ -641,3 +641,173 @@ TEST(FaultInjection, ReferencePastKnownObjectsIsCorrupt) {
         << Classes.message();
   }
 }
+
+namespace {
+
+/// The 48-class golden corpus of test_wire_compat.cpp. Packed as four
+/// shards, its dictionary holds primitive arrays such as "[I".
+std::vector<NamedClass> wireCompatCorpus() {
+  CorpusSpec Spec;
+  Spec.Name = "wirecompat";
+  Spec.Seed = 1234;
+  Spec.NumClasses = 48;
+  Spec.NumPackages = 4;
+  Spec.MeanMethods = 6;
+  Spec.MeanStatements = 10;
+  return generateCorpus(Spec);
+}
+
+/// Offsets of each class ref's dims byte (its base byte follows) in the
+/// uncompressed dictionary frame at \p At: the frame's two lengths, five
+/// string tables, then the class refs.
+std::vector<size_t> dictionaryClassRefs(const std::vector<uint8_t> &Archive,
+                                        size_t At) {
+  ByteReader R(Archive);
+  R.skip(At);
+  uint64_t RawLen = readVarUInt(R);
+  EXPECT_EQ(readVarUInt(R), RawLen) << "dictionary frame is deflated";
+  for (int Table = 0; Table < 5; ++Table) {
+    uint64_t Count = readVarUInt(R);
+    for (uint64_t I = 0; I < Count && !R.hasError(); ++I)
+      R.skip(static_cast<size_t>(readVarUInt(R)));
+  }
+  std::vector<size_t> Offsets;
+  uint64_t Refs = readVarUInt(R);
+  for (uint64_t I = 0; I < Refs && !R.hasError(); ++I) {
+    Offsets.push_back(R.position());
+    R.readU1();
+    if (R.readU1() == 'L') {
+      readVarUInt(R);
+      readVarUInt(R);
+    }
+  }
+  EXPECT_FALSE(R.hasError());
+  return Offsets;
+}
+
+/// Rebuilds an uncompressed version-1 archive with \p Edit applied to
+/// its Counts stream, re-framing that stream's lengths.
+template <typename EditFn>
+std::vector<uint8_t> editCountsStream(const std::vector<uint8_t> &Valid,
+                                      EditFn Edit) {
+  ByteReader R(Valid);
+  R.skip(7);
+  ByteWriter W;
+  W.writeBytes(Valid.data(), 7);
+  for (unsigned I = 0; I < NumStreams; ++I) {
+    uint8_t Id = R.readU1();
+    uint8_t Method = R.readU1();
+    uint64_t RawLen = readVarUInt(R);
+    std::vector<uint8_t> Bytes =
+        R.readBytes(static_cast<size_t>(readVarUInt(R)));
+    if (Id == static_cast<uint8_t>(StreamId::Counts)) {
+      EXPECT_EQ(RawLen, Bytes.size()) << "Counts stream is compressed";
+      Edit(Bytes);
+      RawLen = Bytes.size();
+    }
+    W.writeU1(Id);
+    W.writeU1(Method);
+    writeVarUInt(W, RawLen);
+    writeVarUInt(W, Bytes.size());
+    W.writeBytes(Bytes);
+  }
+  EXPECT_FALSE(R.hasError());
+  EXPECT_TRUE(R.atEnd());
+  return W.take();
+}
+
+void expectMalformedClassRef(const std::vector<uint8_t> &Bytes,
+                             const char *What) {
+  auto Classes = unpackClasses(Bytes, testOptions());
+  ASSERT_FALSE(static_cast<bool>(Classes))
+      << What << ": decoded " << Classes->size() << " classes";
+  EXPECT_EQ(Classes.code(), ErrorCode::Corrupt) << What;
+  EXPECT_NE(Classes.message().find("malformed class ref"), std::string::npos)
+      << What << ": " << Classes.message();
+}
+
+} // namespace
+
+// A dictionary class ref must name a JVM type: a base outside BCDFIJSZVL
+// or a void array is Corrupt, on the whole-archive decoder (v2) and the
+// lazy reader (v3) alike. Rewriting "[I" to "[Q" used to restore classes
+// carrying "[Q" descriptors.
+TEST(FaultInjection, MalformedDictionaryClassRefIsCorrupt) {
+  auto Classes = wireCompatCorpus();
+  for (bool Indexed : {false, true}) {
+    SCOPED_TRACE(Indexed ? "v3" : "v2");
+    PackOptions Options;
+    Options.Shards = 4;
+    Options.CompressStreams = false;
+    Options.RandomAccessIndex = Indexed;
+    auto Packed = packClassBytes(Classes, Options);
+    ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+    const std::vector<uint8_t> &Valid = Packed->Archive;
+
+    size_t DictAt = 7;
+    if (Indexed) {
+      ByteReader R(Valid);
+      R.skip(7);
+      uint64_t IndexLen = readVarUInt(R);
+      DictAt = R.position() + static_cast<size_t>(IndexLen);
+    }
+    size_t IntArray = 0;
+    for (size_t At : dictionaryClassRefs(Valid, DictAt))
+      if (Valid[At] == 1 && Valid[At + 1] == 'I')
+        IntArray = At;
+    ASSERT_NE(IntArray, 0u) << "no [I in the dictionary";
+
+    for (auto [Dims, Base] : {std::pair<uint8_t, char>{1, 'Q'},
+                              {1, 'V'},
+                              {0, '\0'}}) {
+      std::vector<uint8_t> Mutant = Valid;
+      Mutant[IntArray] = Dims;
+      Mutant[IntArray + 1] = static_cast<uint8_t>(Base);
+      if (Indexed) {
+        auto Reader = PackedArchiveReader::open(Mutant, testLimits());
+        ASSERT_FALSE(static_cast<bool>(Reader)) << "base " << int(Base);
+        EXPECT_EQ(Reader.code(), ErrorCode::Corrupt) << Reader.message();
+      } else {
+        expectMalformedClassRef(Mutant, "dictionary");
+      }
+    }
+  }
+}
+
+// The same rule for a class ref defined in the streams. The Counts
+// stream opens with the class count, the first class's minor and major
+// versions, then its own class's definition: dimensions 0, base 'L'.
+// A dimension count over 255 used to be truncated to a byte.
+TEST(FaultInjection, MalformedStreamClassRefIsCorrupt) {
+  PackOptions Options;
+  Options.CompressStreams = false;
+  auto Packed = packClassBytes(smallCorpus(), Options);
+  ASSERT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+  const std::vector<uint8_t> &Valid = Packed->Archive;
+  std::vector<uint8_t> Counts;
+  EXPECT_EQ(editCountsStream(Valid,
+                             [&](std::vector<uint8_t> &C) { Counts = C; }),
+            Valid);
+  ASSERT_GE(Counts.size(), 5u);
+  ASSERT_LT(Counts[0], 0x80);
+  ASSERT_LT(Counts[1], 0x80);
+  ASSERT_LT(Counts[2], 0x80);
+  ASSERT_EQ(Counts[3], 0);
+  ASSERT_EQ(Counts[4], 'L');
+
+  expectMalformedClassRef(
+      editCountsStream(Valid, [](std::vector<uint8_t> &C) { C[4] = 'Q'; }),
+      "base Q");
+  expectMalformedClassRef(editCountsStream(Valid,
+                                           [](std::vector<uint8_t> &C) {
+                                             C[3] = 1;
+                                             C[4] = 'V';
+                                           }),
+                          "void array");
+  expectMalformedClassRef(editCountsStream(Valid,
+                                           [](std::vector<uint8_t> &C) {
+                                             C[3] = 0x80; // 256 dimensions
+                                             C.insert(C.begin() + 4, 0x02);
+                                           }),
+                          "256 dimensions");
+}

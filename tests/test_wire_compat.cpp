@@ -67,6 +67,20 @@ const std::map<std::string, std::string> GoldenHashes = {
     {"stringheavy/s4/z", "efaf1f519e6b74b0b91353f1d3ba2c2f1a61a301"},
     {"balanced/s1/preload", "9d2c8af60b868c44523825e80cf02fe9c01a703b"},
     {"balanced/s4/preload", "7a671cb18780a1d3a1829067a20b21703c641f59"},
+    // Sharded and preloaded under every scheme that can preload: the
+    // shard dictionary is replayed after the standard set.
+    {"balanced/s4/preload-scheme-Simple",
+     "b26817fb4656e769f244c5fdb7f62411f7ce2ca6"},
+    {"balanced/s4/preload-scheme-Basic",
+     "89829a81434a0bbb4acde8e76794ada99bc03a9a"},
+    {"balanced/s4/preload-scheme-MTF Basic",
+     "debd9520d705039929ae44150a33a13885e32d86"},
+    {"balanced/s4/preload-scheme-MTF Transients",
+     "46bf90581fe2368aba92fad62a3a7660a63350a1"},
+    {"balanced/s4/preload-scheme-MTF Context",
+     "5b9e22b995e876a043a13be3cbbafdc53332017c"},
+    {"balanced/s4/preload-scheme-MTF Trans+Ctx",
+     "7a671cb18780a1d3a1829067a20b21703c641f59"},
     {"balanced/s1/nocollapse", "73412ab33f34329d0e8c0b00c7b9465b860a3802"},
     {"balanced/s1/noorder", "bf33effb4a399a16d75c0880ebb68608fd348ab8"},
     {"balanced/s1/scheme-Simple",
@@ -219,6 +233,19 @@ TEST(WireCompat, PreloadedArchives) {
     Options.CompressStreams = false;
     Options.PreloadStandardRefs = true;
     expectGolden("balanced/s" + std::to_string(Shards) + "/preload",
+                 Classes, Options);
+  }
+  for (uint8_t S = 0;
+       S <= static_cast<uint8_t>(RefScheme::MtfTransientsContext); ++S) {
+    if (!refSchemeSupportsPreload(static_cast<RefScheme>(S)))
+      continue;
+    PackOptions Options;
+    Options.Shards = 4;
+    Options.CompressStreams = false;
+    Options.PreloadStandardRefs = true;
+    Options.Scheme = static_cast<RefScheme>(S);
+    expectGolden(std::string("balanced/s4/preload-scheme-") +
+                     refSchemeName(Options.Scheme),
                  Classes, Options);
   }
 }
