@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pack/ArchiveIndex.h"
-#include "pack/Streams.h"
+#include "pack/Container.h"
 #include "support/VarInt.h"
 #include <set>
 #include <utility>

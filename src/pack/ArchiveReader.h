@@ -54,8 +54,7 @@
 
 #include "classfile/ClassFile.h"
 #include "coder/RefCoder.h"
-#include "pack/ArchiveIndex.h"
-#include "pack/Dictionary.h"
+#include "pack/Container.h"
 #include "support/DecodeLimits.h"
 #include "support/Error.h"
 #include <cstdint>
@@ -90,7 +89,7 @@ public:
 
   /// The archive's per-class index (class names in archive order,
   /// shard extents). Reading it costs no decoding.
-  const ArchiveIndex &index() const { return Index; }
+  const ArchiveIndex &index() const { return Frames.Index; }
 
   /// Class internal names in archive order, from the index alone.
   std::vector<std::string> classNames() const;
@@ -111,9 +110,9 @@ public:
   /// full unpack of a multi-shard compressed archive charges.
   uint64_t inflatedBytes() const;
 
-  RefScheme scheme() const { return Scheme; }
-  size_t shardCount() const { return Index.Shards.size(); }
-  size_t classCount() const { return Index.Classes.size(); }
+  RefScheme scheme() const { return Header.Scheme; }
+  size_t shardCount() const { return Frames.Index.Shards.size(); }
+  size_t classCount() const { return Frames.Index.Classes.size(); }
 
 private:
   struct ShardState;
@@ -125,7 +124,7 @@ private:
   /// decodes.
   ShardState *shardSlot(size_t K);
 
-  /// Deserializes and prepares shard \p K's blob into \p St. Caller
+  /// Reads and prepares shard \p K's blob into \p St. Caller
   /// holds St's mutex.
   Error prepareShardLocked(ShardState &St, size_t K);
 
@@ -137,13 +136,9 @@ private:
   Expected<ClassFile> materializeEntry(const ArchiveIndex::ClassEntry &E);
 
   const uint8_t *Data = nullptr;
-  size_t Size = 0;
-  size_t BlobBase = 0;
-  RefScheme Scheme = RefScheme::Basic;
-  uint8_t Flags = 0;
+  ArchiveHeader Header;
   DecodeLimits Limits;
-  ArchiveIndex Index;
-  SharedDictionary Dict;
+  ArchiveFrames Frames;
   /// unique_ptr because the spend counter is atomic (not movable).
   std::unique_ptr<DecodeBudget> Budget;
   /// Guards lazy creation of States slots (unique_ptr so the reader

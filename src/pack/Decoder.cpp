@@ -23,7 +23,6 @@
 #include "pack/Dictionary.h"
 #include "pack/Materialize.h"
 #include "pack/Packer.h"
-#include "pack/Preload.h"
 #include "pack/Transcode.h"
 #include "support/ThreadPool.h"
 #include "zip/Manifest.h"
@@ -33,30 +32,21 @@ using namespace cjpack;
 
 namespace {
 
-/// Decodes one shard's streams (the whole body of a version-1 archive,
-/// or one slice of a version-2 grouped container) into classfiles.
-/// Each shard carries an independent model and reference state, so
-/// shards decode with no shared mutable state; \p Dict (the version-2
-/// shared dictionary, may be null) is replayed into each shard's model
-/// before decoding, mirroring the encoder.
+/// Decodes one shard's streams into classfiles. Each shard carries an
+/// independent model and reference state, so shards decode with no
+/// shared mutable state; \p Dict (the shared dictionary, empty for
+/// version 1) is replayed into each shard's model before decoding,
+/// mirroring the encoder.
 Expected<std::vector<ClassFile>>
-decodeShardStreams(StreamSet &S, RefScheme Scheme, uint8_t Flags,
-                   const SharedDictionary *Dict,
+decodeShardStreams(StreamSet &S, const ArchiveHeader &H,
+                   const SharedDictionary &Dict,
                    const DecodeLimits &Limits) {
-  auto Dec = makeRefDecoder(Scheme);
+  auto Dec = makeRefDecoder(H.Scheme);
   Model M;
-  if (Flags & 4) {
-    if (!preloadStandardRefs(M, *Dec, Scheme))
-      return makeError(ErrorCode::Corrupt,
-                       "unpack: archive needs preloaded references "
-                       "the scheme cannot provide");
-  }
-  if (Dict && !preloadDictionary(M, *Dec, *Dict))
-    return makeError(ErrorCode::Corrupt,
-                     "unpack: archive dictionary needs a scheme "
-                     "that supports preloaded references");
+  if (auto E = seedShardDecoder(M, *Dec, H.Scheme, H.Flags, Dict))
+    return E;
 
-  DecodeContext C{M, *Dec, S, Scheme, Limits};
+  DecodeContext C{M, *Dec, S, H.Scheme, Limits};
   Transcriber<DecodeContext> Reader(C);
   std::vector<ClassRec> Decoded;
   if (auto E = Reader.transcodeArchive(Decoded))
@@ -69,6 +59,22 @@ decodeShardStreams(StreamSet &S, RefScheme Scheme, uint8_t Flags,
     if (!CF)
       return CF.takeError();
     Out.push_back(std::move(*CF));
+  }
+  return Out;
+}
+
+/// Writes each decoded class back to classfile bytes under its name.
+Expected<std::vector<NamedClass>>
+namedClasses(Expected<std::vector<ClassFile>> Classes) {
+  if (!Classes)
+    return Classes.takeError();
+  std::vector<NamedClass> Out;
+  Out.reserve(Classes->size());
+  for (const ClassFile &CF : *Classes) {
+    NamedClass C;
+    C.Name = std::string(CF.thisClassName()) + ".class";
+    C.Data = writeClassFile(CF);
+    Out.push_back(std::move(C));
   }
   return Out;
 }
@@ -88,63 +94,33 @@ cjpack::unpackClasses(std::span<const uint8_t> Archive,
                       const UnpackOptions &Options) {
   const DecodeLimits &Limits = Options.Limits;
   ByteReader R(Archive);
-  if (R.readU4() != 0x434A504Bu)
-    return makeError(R.hasError() ? ErrorCode::Truncated
-                                  : ErrorCode::Corrupt,
-                     "unpack: bad magic");
-  uint8_t Version = R.readU1();
-  if (Version == FormatVersionIndexed)
+  auto Header = readArchiveHeader(R, "unpack");
+  if (!Header)
+    return Header.takeError();
+  if (Header->Version == FormatVersionIndexed)
     return makeError(ErrorCode::VersionMismatch,
                      "unpack: version-3 indexed archive; open it with "
                      "PackedArchiveReader");
-  if (Version != FormatVersionSerial && Version != FormatVersionSharded)
-    return makeError(ErrorCode::VersionMismatch,
-                     "unpack: unsupported format version " +
-                         std::to_string(Version));
-  uint8_t Scheme = R.readU1();
-  if (Scheme > static_cast<uint8_t>(RefScheme::MtfTransientsContext))
-    return makeError(ErrorCode::Corrupt, "unpack: unknown reference scheme");
-  uint8_t Flags = R.readU1();
-  if (R.hasError())
-    return makeError(ErrorCode::Truncated,
-                     "unpack: truncated archive header");
-  if (((Flags >> BackendFlagShift) & BackendFlagMask) > ArchiveBackendMixed)
-    return makeError(ErrorCode::Corrupt,
-                     "unpack: unknown archive backend code");
 
-  if (Version == FormatVersionSerial) {
-    ByteReader Body(Archive.data() + R.position(), R.remaining());
-    StreamSet S;
-    if (auto E = S.deserialize(Body, Limits))
-      return E;
-    return decodeShardStreams(S, static_cast<RefScheme>(Scheme), Flags,
-                              /*Dict=*/nullptr, Limits);
-  }
-
-  auto Dict = SharedDictionary::deserialize(R, Limits);
-  if (!Dict)
-    return Dict.takeError();
-  const SharedDictionary *DictPtr = Dict->empty() ? nullptr : &*Dict;
-
-  auto Shards = deserializeShardedStreams(R, Limits);
-  if (!Shards)
-    return Shards.takeError();
+  // Version 1 is one shard with no dictionary.
+  auto Frames = readArchiveFrames(R, Header->Version, Limits);
+  if (!Frames)
+    return Frames.takeError();
+  const SharedDictionary &Dict = Frames->Dict;
+  std::vector<StreamSet> Shards(Frames->ShardCount);
+  if (auto E = readStreamDirectory(R, Shards, Limits))
+    return E;
 
   // Decode every shard concurrently; concatenation in shard order keeps
   // the result identical for any thread count.
   std::vector<std::future<Expected<std::vector<ClassFile>>>> Futures;
-  Futures.reserve(Shards->size());
+  Futures.reserve(Shards.size());
   {
-    ThreadPool Pool(Options.Threads);
-    for (StreamSet &S : *Shards) {
-      StreamSet *Streams = &S;
-      Futures.push_back(
-          Pool.submit([Streams, Scheme, Flags, DictPtr, &Limits] {
-            return decodeShardStreams(*Streams,
-                                      static_cast<RefScheme>(Scheme), Flags,
-                                      DictPtr, Limits);
-          }));
-    }
+    ThreadPool Pool(Options.Threads, Shards.size());
+    for (StreamSet &S : Shards)
+      Futures.push_back(Pool.submit([&S, &H = *Header, &Dict, &Limits] {
+        return decodeShardStreams(S, H, Dict, Limits);
+      }));
   }
 
   std::vector<ClassFile> Out;
@@ -177,18 +153,7 @@ cjpack::unpackArchive(std::span<const uint8_t> Archive,
 Expected<std::vector<NamedClass>>
 cjpack::unpackArchive(std::span<const uint8_t> Archive,
                       const UnpackOptions &Options) {
-  auto Classes = unpackClasses(Archive, Options);
-  if (!Classes)
-    return Classes.takeError();
-  std::vector<NamedClass> Out;
-  Out.reserve(Classes->size());
-  for (const ClassFile &CF : *Classes) {
-    NamedClass C;
-    C.Name = std::string(CF.thisClassName()) + ".class";
-    C.Data = writeClassFile(CF);
-    Out.push_back(std::move(C));
-  }
-  return Out;
+  return namedClasses(unpackClasses(Archive, Options));
 }
 
 Expected<std::vector<NamedClass>>
@@ -199,18 +164,7 @@ cjpack::unpackAnyArchive(std::span<const uint8_t> Archive,
                                             Options.Limits);
     if (!Reader)
       return Reader.takeError();
-    auto Classes = Reader->unpackAll();
-    if (!Classes)
-      return Classes.takeError();
-    std::vector<NamedClass> Out;
-    Out.reserve(Classes->size());
-    for (const ClassFile &CF : *Classes) {
-      NamedClass C;
-      C.Name = std::string(CF.thisClassName()) + ".class";
-      C.Data = writeClassFile(CF);
-      Out.push_back(std::move(C));
-    }
-    return Out;
+    return namedClasses(Reader->unpackAll());
   }
   return unpackArchive(Archive, Options);
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pack/Dictionary.h"
+#include "pack/Preload.h"
 #include "support/VarInt.h"
 #include "zip/Zlib.h"
 #include <map>
@@ -291,4 +292,17 @@ bool cjpack::preloadDictionary(Model &M, RefDecoder &Dec,
   return replayDictionary(M, D, [&](uint32_t Pool, uint32_t Object) {
     return Dec.preload(Pool, Object);
   });
+}
+
+Error cjpack::seedShardDecoder(Model &M, RefDecoder &Dec, RefScheme Scheme,
+                               uint8_t Flags, const SharedDictionary &Dict) {
+  if ((Flags & 4) && !preloadStandardRefs(M, Dec, Scheme))
+    return makeError(ErrorCode::Corrupt,
+                     "unpack: archive needs preloaded references the "
+                     "scheme cannot provide");
+  if (!Dict.empty() && !preloadDictionary(M, Dec, Dict))
+    return makeError(ErrorCode::Corrupt,
+                     "unpack: archive dictionary needs a scheme that "
+                     "supports preloaded references");
+  return Error::success();
 }

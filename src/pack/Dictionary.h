@@ -100,6 +100,13 @@ bool preloadDictionary(Model &M, RefEncoder &Enc,
 bool preloadDictionary(Model &M, RefDecoder &Dec,
                        const SharedDictionary &D);
 
+/// Seeds a decoding shard as its encoder was seeded: the standard
+/// preload when archive header \p Flags ask for it (bit 2), then
+/// \p Dict (empty for version 1). Corrupt when the scheme cannot
+/// preload.
+Error seedShardDecoder(Model &M, RefDecoder &Dec, RefScheme Scheme,
+                       uint8_t Flags, const SharedDictionary &Dict);
+
 } // namespace cjpack
 
 #endif // CJPACK_PACK_DICTIONARY_H

@@ -449,29 +449,6 @@ emitShardStreams(ShardPlan &Plan, const SharedDictionary *Dict,
   return S;
 }
 
-/// The common archive header (shared by all format versions).
-void writeArchiveHeader(ByteWriter &W, uint8_t Version,
-                        const PackOptions &Options) {
-  W.writeU4(0x434A504Bu); // "CJPK"
-  W.writeU1(Version);
-  W.writeU1(static_cast<uint8_t>(Options.Scheme));
-  uint8_t Flags = 0;
-  if (Options.CollapseOpcodes)
-    Flags |= 1;
-  if (Options.CompressStreams)
-    Flags |= 2;
-  if (Options.PreloadStandardRefs)
-    Flags |= 4;
-  // Bits 3..5 advertise the whole-archive backend choice; zlib (the
-  // default) maps to 0, keeping historical archives bit-identical.
-  if (Options.CompressStreams)
-    Flags |= static_cast<uint8_t>(
-        (Options.StreamBackends ? ArchiveBackendMixed
-                                : archiveBackendCode(Options.Backend))
-        << BackendFlagShift);
-  W.writeU1(Flags);
-}
-
 } // namespace
 
 size_t cjpack::autoShardCount(size_t ClassCount) {
@@ -543,35 +520,6 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
                               "' not representable in an indexed archive");
   }
 
-  if (ShardCount <= 1 && !Options.RandomAccessIndex) {
-    // Original single-shard wire format, byte-identical to version 1.
-    Stopwatch Timer;
-    auto Plan = countShardPass(Ordered, Options);
-    if (!Plan)
-      return Plan.takeError();
-    Result.Trace.Phases.ModelSec = Timer.seconds();
-
-    Timer.restart();
-    std::array<uint64_t, NumStreams> Items{};
-    auto S = emitShardStreams(*Plan, /*Dict=*/nullptr, Options, &Items,
-                              &Result.Trace.Coder);
-    if (!S)
-      return S.takeError();
-    Result.Trace.Phases.EmitSec = Timer.seconds();
-    Result.Trace.Shards.push_back({/*Shard=*/0, Ordered.size(),
-                                   Result.Trace.Phases.ModelSec,
-                                   Result.Trace.Phases.EmitSec});
-
-    Timer.restart();
-    ByteWriter W;
-    writeArchiveHeader(W, FormatVersionSerial, Options);
-    W.writeBytes(S->serialize(Options.backendPlan(), &Result.Sizes));
-    Result.Sizes.Items = Items;
-    Result.Archive = W.take();
-    Result.Trace.Phases.DeflateSec = Timer.seconds();
-    return Result;
-  }
-
   std::vector<std::vector<const ClassFile *>> Slices(ShardCount);
   size_t Base = Ordered.size() / ShardCount;
   size_t Extra = Ordered.size() % ShardCount;
@@ -599,7 +547,7 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
     Result.Trace.Shards[K].Classes = Slices[K].size();
   }
 
-  ThreadPool Pool(Options.Threads);
+  ThreadPool Pool(Options.Threads, ShardCount);
 
   // Counting passes run one per shard, concurrently.
   Stopwatch ModelTimer;
@@ -621,8 +569,9 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
 
   // Factor definitions shared by two or more shards into the
   // dictionary, so shards reference them instead of redefining them.
-  // Schemes that cannot preload keep fully independent shards.
-  if (refSchemeSupportsPreload(Options.Scheme)) {
+  // One shard shares with no other, so its dictionary is empty; schemes
+  // that cannot preload keep fully independent shards.
+  if (ShardCount > 1 && refSchemeSupportsPreload(Options.Scheme)) {
     Model Standard;
     if (Options.PreloadStandardRefs) {
       NullRefEncoder Null;
@@ -663,49 +612,48 @@ cjpack::packClasses(const std::vector<ClassFile> &Classes,
   }
   Result.Trace.Phases.EmitSec = EmitTimer.seconds();
 
+  // Only the frames around the stream directories depend on the format
+  // version, written in the order readArchiveFrames reads them.
   Stopwatch DeflateTimer;
   ByteWriter W;
-  if (Options.RandomAccessIndex) {
-    // Version 3: header, per-class index, dictionary frame, then each
-    // shard's streams serialized as an independent self-contained blob
-    // (the v1 stream body), so a reader can inflate one shard without
-    // touching the others. Per-blob compression costs a little ratio
-    // versus v2's joint per-stream compression — that is the price of
-    // random access.
-    writeArchiveHeader(W, FormatVersionIndexed, Options);
-    std::vector<std::vector<uint8_t>> Blobs;
-    Blobs.reserve(ShardCount);
+  BackendPlan Plan = Options.backendPlan();
+  uint8_t Version = Options.RandomAccessIndex ? FormatVersionIndexed
+                    : ShardCount == 1         ? FormatVersionSerial
+                                              : FormatVersionSharded;
+  writeArchiveHeader(W, Version, Options);
+  ByteWriter Blobs;
+  if (Version == FormatVersionIndexed) {
+    // Each shard's directory is an independent blob, so a reader can
+    // inflate one shard without touching the others. That costs a
+    // little ratio against version 2's joint per-stream compression:
+    // the price of random access.
     ArchiveIndex Index;
-    uint64_t Offset = 0;
     for (size_t K = 0; K < ShardCount; ++K) {
-      StreamSizes BlobSizes;
-      Blobs.push_back(
-          ShardStreams[K].serialize(Options.backendPlan(), &BlobSizes));
-      Result.Sizes.add(BlobSizes);
-      Index.Shards.push_back({Offset, Blobs.back().size()});
-      Offset += Blobs.back().size();
+      size_t Offset = Blobs.size();
+      writeStreamDirectory(Blobs, {&ShardStreams[K], 1}, Plan,
+                           &Result.Sizes);
+      Index.Shards.push_back({Offset, Blobs.size() - Offset});
       for (size_t I = 0; I < Slices[K].size(); ++I)
         Index.Classes.push_back({std::string(Slices[K][I]->thisClassName()),
                                  static_cast<uint32_t>(K),
                                  static_cast<uint32_t>(I)});
     }
     std::vector<uint8_t> IndexBytes = Index.serialize();
-    size_t IndexStart = W.size();
     writeVarUInt(W, IndexBytes.size());
     W.writeBytes(IndexBytes);
-    Result.IndexBytes = W.size() - IndexStart;
+    Result.IndexBytes = W.size() - ArchiveHeaderBytes;
+  }
+  if (Version != FormatVersionSerial) {
     size_t DictStart = W.size();
     Dict.serialize(W, Options.CompressStreams);
     Result.DictionaryBytes = W.size() - DictStart;
-    for (const std::vector<uint8_t> &B : Blobs)
-      W.writeBytes(B);
-  } else {
-    writeArchiveHeader(W, FormatVersionSharded, Options);
-    Dict.serialize(W, Options.CompressStreams);
-    Result.DictionaryBytes = W.size() - 7;
-    W.writeBytes(serializeShardedStreams(ShardStreams, Options.backendPlan(),
-                                         &Result.Sizes));
   }
+  if (Version == FormatVersionSharded)
+    writeVarUInt(W, ShardCount);
+  if (Version == FormatVersionIndexed)
+    W.writeBytes(Blobs.data());
+  else
+    writeStreamDirectory(W, ShardStreams, Plan, &Result.Sizes);
   Result.Archive = W.take();
   Result.Trace.Phases.DeflateSec = DeflateTimer.seconds();
   for (size_t K = 0; K < ShardCount; ++K) {

@@ -27,7 +27,7 @@
 
 #include "classfile/ClassFile.h"
 #include "coder/RefCoder.h"
-#include "pack/Streams.h"
+#include "pack/Container.h"
 #include "support/DecodeLimits.h"
 #include "support/Error.h"
 #include "support/PackTrace.h"

@@ -70,12 +70,11 @@ struct ArchiveStats {
   std::array<size_t, NumBackends> BackendStreams{};
 };
 
-/// Parses the composition of \p Archive. Validates framing with the
-/// same rigor as the decoder (magic, version, scheme, stream directory
-/// order, declared lengths against \p Limits) but never inflates or
-/// decodes stream contents, so it is cheap even for large archives.
-/// Fails with a typed Error on any malformed or truncated framing,
-/// including trailing bytes after the last stream.
+/// Parses the composition of \p Archive. Frames it with the decoder's
+/// own header, frame and directory readers (Container.h), so it fails
+/// with the decoder's typed Error on any malformed or truncated framing,
+/// including trailing bytes after the last stream, but it never inflates
+/// or decodes stream contents, so it is cheap even for large archives.
 Expected<ArchiveStats> statPackedArchive(const std::vector<uint8_t> &Archive,
                                          const DecodeLimits &Limits = {});
 

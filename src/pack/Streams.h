@@ -8,8 +8,10 @@
 /// The packed format separates dissimilar data into independent byte
 /// streams — opcodes, register numbers, integer constants, each kind of
 /// reference, string lengths, string characters — and compresses each
-/// with zlib (§4, §7, [EEF+97]). StreamSet is that container plus its
-/// serialization. Every stream carries a reporting category so the
+/// on its own (§4, §7, [EEF+97]). StreamSet is one shard's set of those
+/// streams, written by the encoder and read by the decoder; the stream
+/// directory that frames them on the wire, for every format version, is
+/// in Container.h. Every stream carries a reporting category so the
 /// Table 6 composition columns (Strings/Opcodes/Ints/Refs/Misc) fall out
 /// of the per-stream packed sizes.
 ///
@@ -20,35 +22,12 @@
 
 #include "pack/Backend.h"
 #include "support/ByteBuffer.h"
-#include "support/DecodeLimits.h"
-#include "support/Error.h"
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 namespace cjpack {
-
-/// Wire-format versions, written in the archive header after the
-/// magic. Version 1 is the original single-shard layout: header, then
-/// one serialized StreamSet. Version 2 is the sharded layout: header,
-/// then the shared dictionary frame, then the shards' streams in the
-/// grouped container written by serializeShardedStreams. Single-shard
-/// archives are always written as version 1, so the sharded pipeline at
-/// shard-count 1 is byte-identical to the original format. Version 3
-/// (opt-in via PackOptions::RandomAccessIndex) is the random-access
-/// layout: header, then a per-class index frame, then the dictionary
-/// frame, then each shard's streams serialized as an independent blob so
-/// a reader can locate and inflate exactly one shard (ArchiveIndex.h,
-/// ArchiveReader.h). The versioning rule: any change to the byte layout
-/// bumps the version, and decoders must reject versions they do not
-/// know with a typed VersionMismatch error.
-inline constexpr uint8_t FormatVersionSerial = 1;
-inline constexpr uint8_t FormatVersionSharded = 2;
-inline constexpr uint8_t FormatVersionIndexed = 3;
-
-/// Upper bound on shards per archive; a header claiming more is corrupt.
-inline constexpr size_t MaxShards = 4096;
 
 /// The separated streams of the packed format.
 enum class StreamId : uint8_t {
@@ -201,7 +180,7 @@ static_assert(detail::streamsInCategory(StreamCategory::Strings) +
               "every stream must land in exactly one category");
 
 /// Which compression backend each stream's final stage uses. The
-/// serializers keep the "compress only if strictly smaller, else
+/// directory writer keeps the "compress only if strictly smaller, else
 /// store" fallback per stream, so a plan is a preference, not a
 /// guarantee — the wire method byte records what actually happened.
 struct BackendPlan {
@@ -216,9 +195,10 @@ struct BackendPlan {
   }
 };
 
-/// Per-stream raw and packed byte counts, filled in by serialization,
-/// plus item counts (varints, strings, fixed-width values written to the
-/// stream) recorded by the encoder's emitting pass.
+/// Per-stream raw and packed byte counts, summed by the directory writer
+/// over every directory of an archive, plus item counts (varints,
+/// strings, fixed-width values written to the stream) recorded by the
+/// encoder's emitting pass.
 struct StreamSizes {
   std::array<size_t, NumStreams> Raw{};
   std::array<size_t, NumStreams> Packed{};
@@ -228,10 +208,6 @@ struct StreamSizes {
   size_t totalPacked() const;
   size_t packedOf(StreamCategory C) const;
   uint64_t totalItems() const;
-
-  /// Accumulates \p Other stream-by-stream (shard totals roll up into
-  /// one per-archive accounting).
-  void add(const StreamSizes &Other);
 };
 
 /// A set of named byte streams being written or read.
@@ -242,10 +218,10 @@ public:
     return Writers[static_cast<unsigned>(Id)];
   }
 
-  /// Reader side: the source for \p Id (valid after deserialize).
+  /// Reader side: the source for \p Id (valid after adopt).
   ByteReader &in(StreamId Id) {
     auto &Slot = Readers[static_cast<unsigned>(Id)];
-    assert(Slot && "stream not deserialized");
+    assert(Slot && "stream not read");
     return *Slot;
   }
 
@@ -255,70 +231,13 @@ public:
   }
 
   /// Reader side: installs \p Bytes as the full contents of \p Id.
-  /// Used by the sharded container, which slices each stream's joint
-  /// buffer back into per-shard stream sets.
   void adopt(StreamId Id, std::vector<uint8_t> Bytes);
-
-  /// Serializes all written streams: per stream a header (id, method,
-  /// raw size, stored size) followed by the bytes as stored by the
-  /// stream's planned backend (falling back to store when compression
-  /// does not strictly shrink). \p Sizes receives the accounting.
-  std::vector<uint8_t> serialize(const BackendPlan &Plan,
-                                 StreamSizes *Sizes) const;
-
-  /// Legacy entry point: \p Compress true is the uniform zlib plan
-  /// (historical behavior, byte-identical), false is all-store.
-  std::vector<uint8_t> serialize(bool Compress, StreamSizes *Sizes) const {
-    return serialize(
-        BackendPlan::uniform(Compress ? BackendId::Zlib : BackendId::Store),
-        Sizes);
-  }
-
-  /// Parses bytes produced by serialize. Declared lengths are checked
-  /// against \p Limits.MaxStreamBytes before any allocation, and
-  /// inflation is capped by the declared raw size. \p Budget, when
-  /// non-null, is charged for every byte of inflate output, so callers
-  /// that decode many stream sets against one archive (the lazy reader)
-  /// share one decompression-bomb bound and can account for how much
-  /// they actually inflated.
-  Error deserialize(ByteReader &R, const DecodeLimits &Limits = {},
-                    DecodeBudget *Budget = nullptr);
 
 private:
   std::array<ByteWriter, NumStreams> Writers;
   std::array<std::vector<uint8_t>, NumStreams> Buffers;
   std::array<std::unique_ptr<ByteReader>, NumStreams> Readers;
 };
-
-/// Serializes \p Shards into the version-2 grouped stream container.
-/// Each of the NumStreams streams stores its shards' bytes concatenated
-/// and compressed as one unit — per-shard compression would fragment
-/// the compressor's context and cost several percent — with per-shard
-/// raw lengths so the decoder can slice the shards back out and decode
-/// them concurrently. Layout: varint shard count, then per stream in id
-/// order: id byte, method byte, one varint raw length per shard, varint
-/// stored length, stored bytes. The container is a pure function of the
-/// shards' contents. \p Sizes receives the per-stream accounting, with
-/// each stream charged its own directory header.
-std::vector<uint8_t> serializeShardedStreams(
-    const std::vector<StreamSet> &Shards, const BackendPlan &Plan,
-    StreamSizes *Sizes);
-
-/// Legacy entry point; see StreamSet::serialize(bool, ...).
-inline std::vector<uint8_t> serializeShardedStreams(
-    const std::vector<StreamSet> &Shards, bool Compress,
-    StreamSizes *Sizes) {
-  return serializeShardedStreams(
-      Shards,
-      BackendPlan::uniform(Compress ? BackendId::Zlib : BackendId::Store),
-      Sizes);
-}
-
-/// Parses a container written by serializeShardedStreams back into
-/// per-shard stream sets, validating the shard count and every
-/// promised length against \p Limits before allocating.
-Expected<std::vector<StreamSet>>
-deserializeShardedStreams(ByteReader &R, const DecodeLimits &Limits = {});
 
 } // namespace cjpack
 

@@ -26,9 +26,9 @@ namespace cjpack {
 
 /// Wall-clock seconds spent in each pipeline phase of one pack run.
 /// Parse covers classfile parsing + prepareForPacking (only populated by
-/// packClassBytes); Model covers the counting passes, dictionary build,
-/// and id remapping; Emit covers the emitting passes; Deflate covers
-/// stream serialization and compression.
+/// packClassBytes); Model covers the counting passes and the dictionary
+/// build; Emit covers the emitting passes; Deflate covers stream
+/// serialization and compression.
 struct PhaseTimes {
   double ParseSec = 0;
   double ModelSec = 0;

@@ -23,6 +23,7 @@
 #ifndef CJPACK_SUPPORT_THREADPOOL_H
 #define CJPACK_SUPPORT_THREADPOOL_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -40,14 +41,18 @@ class ThreadPool {
 public:
   /// Spawns \p ThreadCount workers; 0 means one per hardware thread.
   explicit ThreadPool(unsigned ThreadCount = 0) {
-    if (ThreadCount == 0)
-      ThreadCount = defaultThreadCount();
-    Workers.reserve(ThreadCount);
-    for (unsigned I = 0; I < ThreadCount; ++I)
-      Workers.push_back(std::make_unique<Worker>());
-    Threads.reserve(ThreadCount);
-    for (unsigned I = 0; I < ThreadCount; ++I)
-      Threads.emplace_back([this, I] { workerLoop(I); });
+    spawn(ThreadCount == 0 ? defaultThreadCount() : ThreadCount);
+  }
+
+  /// A pool for \p Tasks coarse tasks: at most \p Requested workers (0 =
+  /// one per hardware thread), and never more than there are tasks. Where
+  /// that leaves one worker the pool spawns none, and submit() runs each
+  /// task on the calling thread: a lone worker would only make the
+  /// caller wait, and would keep its allocations apart from the caller's.
+  ThreadPool(unsigned Requested, size_t Tasks) {
+    size_t N = std::min<size_t>(
+        Requested == 0 ? defaultThreadCount() : Requested, Tasks);
+    spawn(N > 1 ? static_cast<unsigned>(N) : 0);
   }
 
   ThreadPool(const ThreadPool &) = delete;
@@ -72,6 +77,7 @@ public:
     return N == 0 ? 1 : N;
   }
 
+
   /// Enqueues \p F for execution. The returned future delivers F's
   /// result, or rethrows whatever F threw.
   template <typename Fn>
@@ -80,6 +86,10 @@ public:
     auto Task =
         std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(F));
     std::future<R> Result = Task->get_future();
+    if (Workers.empty()) {
+      (*Task)();
+      return Result;
+    }
     Worker &W = *Workers[NextQueue++ % Workers.size()];
     // Count the task before publishing it: a spinning worker can pop
     // and run it the moment it lands in the queue, and its decrement
@@ -102,6 +112,15 @@ private:
     std::mutex Mutex;
     std::deque<std::function<void()>> Queue;
   };
+
+  void spawn(unsigned ThreadCount) {
+    Workers.reserve(ThreadCount);
+    for (unsigned I = 0; I < ThreadCount; ++I)
+      Workers.push_back(std::make_unique<Worker>());
+    Threads.reserve(ThreadCount);
+    for (unsigned I = 0; I < ThreadCount; ++I)
+      Threads.emplace_back([this, I] { workerLoop(I); });
+  }
 
   /// Pops from the front of worker \p I's own queue.
   bool popLocal(unsigned I, std::function<void()> &Out) {

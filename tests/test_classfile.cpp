@@ -247,3 +247,23 @@ TEST(CodeAttribute, ParseEncodeRoundTrip) {
   EXPECT_TRUE(std::equal(Re.Bytes.begin(), Re.Bytes.end(), A->Bytes.begin(),
                          A->Bytes.end()));
 }
+
+TEST(CodeAttribute, NestedAttributeNameMustBeUtf8) {
+  // A nested attribute whose name index is in range but names a Class
+  // entry must be Corrupt, not read as some other entry's text.
+  ClassFile CF = makeSampleClass();
+  ByteWriter W;
+  W.writeU2(0); // max_stack
+  W.writeU2(1); // max_locals
+  W.writeU4(1); // code_length
+  W.writeU1(0xB1); // return
+  W.writeU2(0); // exception_table_length
+  W.writeU2(1); // attributes_count
+  W.writeU2(CF.ThisClass); // a Class entry, not Utf8
+  W.writeU4(0);
+  std::vector<uint8_t> Bytes = W.take();
+  ASSERT_EQ(CF.CP.entry(CF.ThisClass).Tag, CpTag::Class);
+  auto Code = parseCodeAttribute({"Code", Bytes}, CF.CP);
+  ASSERT_FALSE(static_cast<bool>(Code));
+  EXPECT_EQ(Code.code(), ErrorCode::Corrupt) << Code.message();
+}

@@ -452,7 +452,7 @@ namespace {
 
 /// One stream directory entry of a version-1 archive: where its method
 /// byte sits in the archive and what it says.
-struct StreamEntry {
+struct MethodSite {
   size_t MethodOffset;
   uint8_t Method;
 };
@@ -460,8 +460,8 @@ struct StreamEntry {
 /// Walks a version-1 archive's stream directory (7-byte header, then
 /// per stream: id byte, method byte, raw-length varint, stored-length
 /// varint, payload) and returns each entry's method-byte location.
-std::vector<StreamEntry> walkV1Streams(const std::vector<uint8_t> &Archive) {
-  std::vector<StreamEntry> Entries;
+std::vector<MethodSite> walkV1Streams(const std::vector<uint8_t> &Archive) {
+  std::vector<MethodSite> Entries;
   ByteReader R(Archive);
   R.skip(7);
   for (unsigned I = 0; I < NumStreams; ++I) {
@@ -528,13 +528,13 @@ TEST(FaultInjection, HostileBackendTyped) {
                              /*Indexed=*/false, BackendId::Huffman);
   ASSERT_FALSE(Valid.empty());
   ASSERT_TRUE(static_cast<bool>(unpackClasses(Valid, testOptions())));
-  std::vector<StreamEntry> Streams = walkV1Streams(Valid);
+  std::vector<MethodSite> Streams = walkV1Streams(Valid);
   ASSERT_EQ(Streams.size(), NumStreams);
 
   // Unknown method bytes on every stream: one past the registry and a
   // far-out value.
   for (uint8_t Hostile : {uint8_t(NumBackends), uint8_t(0xFF)}) {
-    for (const StreamEntry &E : Streams) {
+    for (const MethodSite &E : Streams) {
       std::vector<uint8_t> Mutant = Valid;
       Mutant[E.MethodOffset] = Hostile;
       expectUnpackAndStatsReject(Mutant, ErrorCode::Corrupt,
@@ -544,7 +544,7 @@ TEST(FaultInjection, HostileBackendTyped) {
 
   // Relabeling a compressed stream as stored breaks the stored-size
   // invariant (stored length != raw length) and must be Corrupt.
-  for (const StreamEntry &E : Streams) {
+  for (const MethodSite &E : Streams) {
     if (E.Method == static_cast<uint8_t>(BackendId::Store))
       continue;
     std::vector<uint8_t> Mutant = Valid;
@@ -557,7 +557,7 @@ TEST(FaultInjection, HostileBackendTyped) {
   // zlib or arithmetic decoder and vice versa) cannot promise a
   // specific code — the payload is garbage to the other decoder — but
   // must stay inside the taxonomy.
-  for (const StreamEntry &E : Streams) {
+  for (const MethodSite &E : Streams) {
     for (unsigned Method = 1; Method < NumBackends; ++Method) {
       if (Method == E.Method)
         continue;
@@ -810,4 +810,74 @@ TEST(FaultInjection, MalformedStreamClassRefIsCorrupt) {
                                              C.insert(C.begin() + 4, 0x02);
                                            }),
                           "256 dimensions");
+}
+
+namespace {
+
+/// A version-1 (one shard) or version-2 (four shards) archive of the
+/// small corpus and the offset where its stream directory begins (for
+/// version 2, its shard count).
+std::pair<std::vector<uint8_t>, size_t> archiveWithDirectory(unsigned Shards,
+                                                             bool Compress) {
+  PackOptions Options;
+  Options.Shards = Shards;
+  Options.CompressStreams = Compress;
+  auto Packed = packClassBytes(smallCorpus(), Options);
+  EXPECT_TRUE(static_cast<bool>(Packed)) << Packed.message();
+  if (!Packed)
+    return {};
+  return {Packed->Archive, 7 + Packed->DictionaryBytes};
+}
+
+} // namespace
+
+// Input that ends inside the stream directory is Truncated, and the
+// decoder and the stats walk, which frame it with the same code, agree
+// on every cut.
+TEST(FaultInjection, CutStreamDirectoryIsTruncatedOnEverySurface) {
+  for (unsigned Shards : {1u, 4u}) {
+    for (bool Compress : {false, true}) {
+      auto [Archive, DirStart] = archiveWithDirectory(Shards, Compress);
+      ASSERT_FALSE(Archive.empty());
+      ASSERT_EQ(Archive[4], Shards == 1 ? FormatVersionSerial
+                                        : FormatVersionSharded);
+      for (size_t Len = 0; Len < Archive.size(); ++Len) {
+        std::vector<uint8_t> Cut(Archive.begin(),
+                                 Archive.begin() + static_cast<long>(Len));
+        auto Classes = unpackClasses(Cut, testOptions());
+        auto Stats = statPackedArchive(Cut, testLimits());
+        ASSERT_FALSE(static_cast<bool>(Classes)) << Len;
+        ASSERT_FALSE(static_cast<bool>(Stats)) << Len;
+        EXPECT_EQ(Classes.code(), Stats.code())
+            << Shards << " shards, cut at " << Len << ": "
+            << Classes.message() << " / " << Stats.message();
+        if (Len >= DirStart) {
+          EXPECT_EQ(Classes.code(), ErrorCode::Truncated)
+              << Shards << " shards, cut at " << Len << ": "
+              << Classes.message();
+        }
+      }
+    }
+  }
+}
+
+// Bytes after the stream directory are Corrupt from every surface that
+// decodes a version-1 or version-2 archive.
+TEST(FaultInjection, TrailingBytesAfterStreamDirectoryAreCorrupt) {
+  for (unsigned Shards : {1u, 4u}) {
+    for (bool Compress : {false, true}) {
+      auto [Archive, DirStart] = archiveWithDirectory(Shards, Compress);
+      ASSERT_FALSE(Archive.empty());
+      ASSERT_TRUE(
+          static_cast<bool>(unpackClasses(Archive, testOptions())));
+      std::vector<uint8_t> Long = Archive;
+      Long.push_back(0x00);
+      Long.push_back(0x2A);
+      expectUnpackAndStatsReject(Long, ErrorCode::Corrupt,
+                                 "trailing bytes");
+      auto Named = unpackAnyArchive(Long, testOptions());
+      ASSERT_FALSE(static_cast<bool>(Named));
+      EXPECT_EQ(Named.code(), ErrorCode::Corrupt) << Named.message();
+    }
+  }
 }

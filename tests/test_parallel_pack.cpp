@@ -17,7 +17,7 @@
 #include "corpus/Corpus.h"
 #include "pack/Dictionary.h"
 #include "pack/Packer.h"
-#include "pack/Streams.h"
+#include "pack/Container.h"
 #include "support/VarInt.h"
 #include <gtest/gtest.h>
 #include <map>
@@ -233,22 +233,55 @@ TEST(ParallelPack, DictionaryClassRefOutOfRangeFailsCleanly) {
 }
 
 TEST(ParallelPack, DuplicateStreamIdFailsCleanly) {
-  // A sharded container repeating stream id 0 where id 1 belongs: ids
+  // A stream directory repeating stream id 0 where id 1 belongs: ids
   // must appear in order, or some stream's reader would never be
-  // populated.
-  ByteWriter W;
-  writeVarUInt(W, 1); // one shard
-  for (int Stream = 0; Stream < 2; ++Stream) {
-    W.writeU1(0); // id 0 twice
-    W.writeU1(0); // method: stored
-    writeVarUInt(W, 0); // shard raw length
-    writeVarUInt(W, 0); // stored length
+  // populated. One shard is the version-1 and version-3 blob case,
+  // three the version-2 case.
+  for (size_t Count : {size_t(1), size_t(3)}) {
+    ByteWriter W;
+    for (int Stream = 0; Stream < 2; ++Stream) {
+      W.writeU1(0); // id 0 twice
+      W.writeU1(0); // method: stored
+      for (size_t K = 0; K < Count; ++K)
+        writeVarUInt(W, 0); // shard raw length
+      writeVarUInt(W, 0);   // stored length
+    }
+    std::vector<uint8_t> Bytes = W.take();
+    ByteReader R(Bytes);
+    std::vector<StreamSet> Shards(Count);
+    Error E = readStreamDirectory(R, Shards);
+    ASSERT_TRUE(static_cast<bool>(E)) << Count;
+    EXPECT_EQ(E.code(), ErrorCode::Corrupt) << E.message();
   }
-  std::vector<uint8_t> Bytes = W.take();
-  ByteReader R(Bytes);
-  auto Shards = deserializeShardedStreams(R);
-  ASSERT_FALSE(static_cast<bool>(Shards));
-  EXPECT_EQ(Shards.code(), ErrorCode::Corrupt) << Shards.message();
+}
+
+TEST(ParallelPack, SerialBodyIsTheOneShardIndexedBlob) {
+  // Version 1 and version 3 frame a shard's streams with the same
+  // directory: a version-1 body is byte-identical to the one blob of
+  // the same corpus packed as one-shard version 3.
+  auto Classes = preparedCorpus(7010, 12);
+  PackOptions O;
+  O.Shards = 1;
+  auto Serial = packClasses(Classes, O);
+  ASSERT_TRUE(static_cast<bool>(Serial)) << Serial.message();
+  O.RandomAccessIndex = true;
+  auto Indexed = packClasses(Classes, O);
+  ASSERT_TRUE(static_cast<bool>(Indexed)) << Indexed.message();
+  ASSERT_EQ(Serial->Archive[4], FormatVersionSerial);
+  ASSERT_EQ(Indexed->Archive[4], FormatVersionIndexed);
+
+  ByteReader R(Indexed->Archive);
+  ASSERT_TRUE(static_cast<bool>(readArchiveHeader(R, "test")));
+  auto Frames = readArchiveFrames(R, FormatVersionIndexed);
+  ASSERT_TRUE(static_cast<bool>(Frames)) << Frames.message();
+  ASSERT_EQ(Frames->Index.Shards.size(), 1u);
+  EXPECT_TRUE(Frames->Dict.empty());
+  std::vector<uint8_t> Blob(Indexed->Archive.begin() +
+                                static_cast<long>(Frames->BlobBase),
+                            Indexed->Archive.end());
+  std::vector<uint8_t> Body(Serial->Archive.begin() + 7,
+                            Serial->Archive.end());
+  EXPECT_EQ(Blob, Body);
 }
 
 TEST(ParallelPack, SerialStreamSetWithShuffledIdsFailsCleanly) {

@@ -126,3 +126,23 @@ TEST(ThreadPool, WorkersStealSkewedBacklog) {
   }
   EXPECT_EQ(Small.load(), 32);
 }
+
+TEST(ThreadPool, SizedForTasksNeverOutnumbersThem) {
+  EXPECT_EQ(ThreadPool(4, 3).size(), 3u);
+  EXPECT_EQ(ThreadPool(2, 8).size(), 2u);
+  unsigned Want = std::min(2u, ThreadPool::defaultThreadCount());
+  EXPECT_EQ(ThreadPool(0, 2).size(), Want > 1 ? Want : 0u);
+
+  // One task, or one worker asked for, runs on the calling thread.
+  auto ExpectInline = [](ThreadPool &Pool) {
+    EXPECT_EQ(Pool.size(), 0u);
+    auto Ran = Pool.submit([] { return std::this_thread::get_id(); });
+    EXPECT_EQ(Ran.get(), std::this_thread::get_id());
+    auto Thrown = Pool.submit([]() -> int { throw std::runtime_error("x"); });
+    EXPECT_THROW(Thrown.get(), std::runtime_error);
+  };
+  ThreadPool OneTask(8, 1);
+  ExpectInline(OneTask);
+  ThreadPool OneWorker(1, 8);
+  ExpectInline(OneWorker);
+}
